@@ -28,6 +28,9 @@ from .fmm import FmmPlan, _combine_stokeslet, _combine_stresslet, \
 from .kernels import FOUR_PI, KernelKind
 
 EIGHT_PI = 8.0 * np.pi
+# targets per block of the dense direct sums: each (block, Gauss points)
+# temporary is 32 MB at N = 8192, and larger blocks run no faster
+DENSE_CHUNK = 128
 
 
 class Formulation(enum.Enum):
@@ -231,41 +234,19 @@ class BemOperator:
             u = _combine_stresslet(self.centroids, pot, grad)
         return u.reshape(-1) + correction @ x
 
-    def _dense_potential(self, charges, dipoles, want_gradient=False, chunk=512):
+    def _dense_potential(self, charges, dipoles, want_gradient=False):
         """Direct 1/r (and dipole) sums over all Gauss points, self pair zeroed."""
-        q = None if charges is None else np.atleast_2d(charges)
-        dip = dipoles
-        if dip is not None and dip.ndim == 2:
-            dip = dip[None]
-        C = q.shape[0] if q is not None else dip.shape[0]
+        q, dip, C, single = kernels.as_channels(charges, dipoles)
         nt = len(self.centroids)
         pot = np.zeros((C, nt))
         grad = np.zeros((C, nt, 3)) if want_gradient else None
-        src = self.src_pos
-        for lo in range(0, nt, chunk):
-            tgt = self.centroids[lo:lo + chunk]
-            r = tgt[:, None, :] - src[None, :, :]
-            d2 = np.einsum("tsi,tsi->ts", r, r)
-            inv = np.zeros_like(d2)
-            np.divide(1.0, np.sqrt(d2), out=inv, where=d2 > 0.0)
-            sl = slice(lo, lo + len(tgt))
-            if q is not None:
-                pot[:, sl] += q @ inv.T
-                if grad is not None:
-                    grad[:, sl] -= np.einsum("cs,tsi,ts->cti", q, r, inv ** 3)
-            if dip is not None:
-                inv3 = inv ** 3
-                rn = np.einsum("tsi,csi->cts", r, dip)
-                pot[:, sl] += np.einsum("cts,ts->ct", rn, inv3)
-                if grad is not None:
-                    grad[:, sl] += np.einsum("csi,ts->cti", dip, inv3)
-                    grad[:, sl] -= 3.0 * np.einsum("cts,tsi,ts->cti", rn, r, inv ** 5)
-        single = (charges is not None and charges.ndim == 1) or (
-            charges is None and dipoles.ndim == 2
-        )
-        if single:
-            return (pot[0], grad[0]) if want_gradient else pot[0]
-        return (pot, grad) if want_gradient else pot
+        for lo in range(0, nt, DENSE_CHUNK):
+            sl = slice(lo, lo + DENSE_CHUNK)
+            pot[:, sl], g = kernels.laplace_sum(self.centroids[sl], self.src_pos, q, dip,
+                                                want_gradient)
+            if want_gradient:
+                grad[:, sl] = g
+        return kernels.from_channels(pot, grad, single)
 
     # -- public operator interface ---------------------------------------------
 

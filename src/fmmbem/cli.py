@@ -1,7 +1,6 @@
 """Command-line front end: mesh generation, solves, and study runs."""
 
 import argparse
-import contextlib
 import sys
 
 import numpy as np
@@ -9,21 +8,6 @@ import numpy as np
 from . import mesh as meshes
 from . import solver, study
 from .bemop import BemOperator
-
-
-@contextlib.contextmanager
-def _thread_limit(n):
-    """Cap BLAS threads when threadpoolctl is available; no-op otherwise."""
-    if n is None:
-        yield
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        yield
-        return
-    with threadpool_limits(limits=n):
-        yield
 
 
 def _add_mesh_parser(sub):
@@ -55,7 +39,6 @@ def _add_solve_parser(sub):
     p.add_argument("--ncrit", type=int, default=126)
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--mu", type=float, default=1e-3)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--output", required=True,
                    help="solve report path; history CSV goes next to it")
 
@@ -82,10 +65,10 @@ def _add_study_parser(sub):
     scal.add_argument("--sizes", type=int, nargs="+", required=True)
     scal.add_argument("--p", type=int, default=5)
     scal.add_argument("--ncrit", type=int, default=126)
-    for sp in (conv, relax, scal):
+    scal.add_argument("--seed", type=int, default=0)
+    for sp in (relax, scal):
         sp.add_argument("--repeats", type=int, default=3)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--threads", type=int, default=None)
+    for sp in (conv, relax, scal):
         sp.add_argument("--theta", type=float, default=0.5)
         sp.add_argument("--output", required=True)
 
@@ -157,14 +140,12 @@ def main(argv=None):
     _add_solve_parser(sub)
     _add_study_parser(sub)
     args = parser.parse_args(argv)
-    threads = getattr(args, "threads", None)
-    with _thread_limit(threads):
-        if args.command == "mesh":
-            _run_mesh(args)
-        elif args.command == "solve":
-            _run_solve(args)
-        else:
-            _run_study(args)
+    if args.command == "mesh":
+        _run_mesh(args)
+    elif args.command == "solve":
+        _run_solve(args)
+    else:
+        _run_study(args)
     return 0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import harmonics as H
-from .kernels import FOUR_PI, KernelKind
+from .kernels import FOUR_PI, KernelKind, as_channels, from_channels, laplace_sum
 from .octree import build_tree, bounding_cube
 
 # Cell size entering the acceptance criterion, in units of the cube half
@@ -81,14 +81,12 @@ def l2p(expansion, targets, want_gradient=False):
     return H.local_to_point(expansion.coeffs, rel, expansion.order, want_gradient)
 
 
-def dual_traversal(src_tree, tgt_tree, theta, policy="fmm"):
-    """Pairwise cell interaction lists from a simultaneous tree descent.
+def dual_traversal(src_tree, tgt_tree, theta):
+    """M2L and P2P cell pair lists from a simultaneous tree descent.
 
-    A pair is accepted for expansion-based interaction when
-    (r_src + r_tgt) / distance < theta with r the cell circumradius;
-    otherwise the larger cell is split, and leaf-leaf pairs go to P2P.
-    policy 'fmm' sends accepted pairs to M2L; 'treecode' evaluates
-    multipoles directly at the bodies of accepted leaf target cells.
+    A pair is accepted for M2L when (r_src + r_tgt) / distance < theta with
+    r the cell circumradius; otherwise the larger cell is split, and
+    leaf-leaf pairs go to P2P.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be in (0, 1)")
@@ -97,19 +95,13 @@ def dual_traversal(src_tree, tgt_tree, theta, policy="fmm"):
     sc, tc = src_tree.center, tgt_tree.center
     s_leaf, t_leaf = src_tree.is_leaf, tgt_tree.is_leaf
     s_kids, t_kids = src_tree.children, tgt_tree.children
-    m2l_pairs, m2p_pairs, p2p_pairs = [], [], []
+    m2l_pairs, p2p_pairs = [], []
     stack = [(0, 0)]
     while stack:
         s, t = stack.pop()
         d = math.dist(sc[s], tc[t])
         if d > 0.0 and (rs[s] + rt[t]) < theta * d:
-            if policy == "treecode":
-                if t_leaf[t]:
-                    m2p_pairs.append((s, t))
-                else:
-                    stack.extend((s, k) for k in t_kids[t] if k >= 0)
-            else:
-                m2l_pairs.append((s, t))
+            m2l_pairs.append((s, t))
             continue
         if s_leaf[s] and t_leaf[t]:
             p2p_pairs.append((s, t))
@@ -122,25 +114,21 @@ def dual_traversal(src_tree, tgt_tree, theta, policy="fmm"):
     as_array = lambda lst: (
         np.asarray(lst, dtype=np.intp).reshape(-1, 2) if lst else np.empty((0, 2), dtype=np.intp)
     )
-    return as_array(m2l_pairs), as_array(m2p_pairs), as_array(p2p_pairs)
+    return as_array(m2l_pairs), as_array(p2p_pairs)
 
 
 class FmmPlan:
     """Trees, traversal and cached translation data for one geometry."""
 
-    def __init__(self, src_pos, tgt_pos, n_crit=126, theta=0.5, policy="fmm",
-                 max_depth=20, chunk=8192):
+    def __init__(self, src_pos, tgt_pos, n_crit=126, theta=0.5, max_depth=20, chunk=8192):
         src_pos = np.atleast_2d(np.asarray(src_pos, dtype=float))
         tgt_pos = np.atleast_2d(np.asarray(tgt_pos, dtype=float))
         center, half = bounding_cube(np.vstack([src_pos, tgt_pos]))
         self.src_tree = build_tree(src_pos, n_crit, max_depth, center, half)
         self.tgt_tree = build_tree(tgt_pos, n_crit, max_depth, center, half)
         self.theta = theta
-        self.policy = policy
         self.chunk = chunk
-        self.m2l_pairs, self.m2p_pairs, self.p2p_pairs = dual_traversal(
-            self.src_tree, self.tgt_tree, theta, policy
-        )
+        self.m2l_pairs, self.p2p_pairs = dual_traversal(self.src_tree, self.tgt_tree, theta)
         # group M2L pairs by their center offset (lattice-exact for shared roots)
         if len(self.m2l_pairs):
             D = self.tgt_tree.center[self.m2l_pairs[:, 1]] - self.src_tree.center[self.m2l_pairs[:, 0]]
@@ -184,8 +172,6 @@ class FmmPlan:
         counts = np.zeros(len(self.tgt_tree.points))
         for s, t in self.m2l_pairs:
             counts[self._tgt_bodies(t)] += self.src_tree.body_count[s]
-        for s, t in self.m2p_pairs:
-            counts[self._tgt_bodies(t)] += self.src_tree.body_count[s]
         for t, idx in self._p2p_sources.items():
             counts[self._tgt_bodies(t)] += len(idx)
         return counts
@@ -207,18 +193,8 @@ class FmmPlan:
         Returns (C, Nt) potentials (and (C, Nt, 3) gradients), or unbatched
         arrays when the input was unbatched.  P2P pairs are NOT included.
         """
-        ns = len(self.src_tree.points)
+        q, dip, C, single = as_channels(charges, dipoles)
         nt = len(self.tgt_tree.points)
-        single = (charges is not None and np.asarray(charges).ndim == 1) or (
-            charges is None and np.asarray(dipoles).ndim == 2
-        )
-        q = None if charges is None else np.atleast_2d(np.asarray(charges, dtype=float))
-        dip = None
-        if dipoles is not None:
-            dip = np.asarray(dipoles, dtype=float)
-            if dip.ndim == 2:
-                dip = dip[None]
-        C = q.shape[0] if q is not None else dip.shape[0]
         size = H.num_coeffs(p)
 
         M = self._upward(q, dip, p, C, size)
@@ -227,10 +203,7 @@ class FmmPlan:
         pot = np.zeros((C, nt))
         grad = np.zeros((C, nt, 3)) if want_gradient else None
         self._l2p(L, p, pot, grad)
-        self._m2p_sweep(M, p, pot, grad)
-        if single:
-            return (pot[0], grad[0]) if want_gradient else pot[0]
-        return (pot, grad) if want_gradient else pot
+        return from_channels(pot, grad, single)
 
     def _upward(self, q, dip, p, C, size):
         tree = self.src_tree
@@ -289,28 +262,19 @@ class FmmPlan:
                     flat = coeffs[parents[sel]].reshape(n_sel * C, size)
                     coeffs[cells[sel]] += (flat @ T.T).reshape(n_sel, C, size)
 
-    def _m2l_sweep(self, M, p, C, size, offset_chunk=256):
+    def _m2l_sweep(self, M, p, C, size):
         L = np.zeros((self.tgt_tree.n_cells, C, size), dtype=complex)
         if not len(self._m2l_offsets):
             return L
         igrids = self._igrids(p)
         gmap, sign = H.m2l_map(p)
-        starts = self._m2l_group_starts
-        n_groups = len(self._m2l_offsets)
-        bounds = np.append(starts, len(self._m2l_sorted))
-        for g0 in range(0, n_groups, offset_chunk):
-            g1 = min(g0 + offset_chunk, n_groups)
-            # force C order: the broadcast product can come out with strides
-            # that push BLAS onto a very slow path
-            T_block = np.ascontiguousarray(sign[None, :, None] * np.conj(igrids[g0:g1])[:, gmap])
-            for g in range(g0, g1):
-                pairs = self._m2l_sorted[bounds[g]:bounds[g + 1]]
-                if len(pairs) == 0:
-                    continue
-                T = T_block[g - g0]
-                flat = M[pairs[:, 0]].reshape(len(pairs) * C, size)
-                contrib = (flat @ T.T).reshape(len(pairs), C, size)
-                L[pairs[:, 1]] += contrib  # targets are unique within a group
+        bounds = np.append(self._m2l_group_starts, len(self._m2l_sorted))
+        for g in range(len(self._m2l_offsets)):
+            pairs = self._m2l_sorted[bounds[g]:bounds[g + 1]]
+            T = sign[:, None] * np.conj(igrids[g])[gmap]
+            flat = M[pairs[:, 0]].reshape(len(pairs) * C, size)
+            contrib = (flat @ T.T).reshape(len(pairs), C, size)
+            L[pairs[:, 1]] += contrib  # targets are unique within a group
         return L
 
     def _l2l_sweep(self, L, p):
@@ -335,17 +299,6 @@ class FmmPlan:
                     grad[:, idx, 1] += np.real(L[leaf] @ gy[block].T)
                     grad[:, idx, 2] += np.real(L[leaf] @ gz[block].T)
 
-    def _m2p_sweep(self, M, p, pot, grad):
-        for s, t in self.m2p_pairs:
-            idx = self._tgt_bodies(t)
-            rel = self.tgt_tree.points[idx] - self.src_tree.center[s]
-            if grad is not None:
-                v, g = H.multipole_to_point(M[s], rel, p, want_gradient=True)
-                pot[:, idx] += v
-                grad[:, idx] += g
-            else:
-                pot[:, idx] += H.multipole_to_point(M[s], rel, p)
-
     # -- near field -------------------------------------------------------------
 
     def p2p_items(self):
@@ -356,67 +309,22 @@ class FmmPlan:
     def near_field(self, charges=None, dipoles=None, want_gradient=False):
         """Direct 1/r (and dipole) sums over the P2P pairs.
 
-        Coincident source/target pairs contribute zero (the BEM layer replaces
-        self interactions with singular integrals).
+        Same arguments and return shapes as :meth:`far_field`.  Coincident
+        source/target pairs contribute zero (the BEM layer replaces self
+        interactions with singular integrals).
         """
-        single = (charges is not None and np.asarray(charges).ndim == 1) or (
-            charges is None and np.asarray(dipoles).ndim == 2
-        )
-        q = None if charges is None else np.atleast_2d(np.asarray(charges, dtype=float))
-        dip = None
-        if dipoles is not None:
-            dip = np.asarray(dipoles, dtype=float)
-            if dip.ndim == 2:
-                dip = dip[None]
-        C = q.shape[0] if q is not None else dip.shape[0]
+        q, dip, C, single = as_channels(charges, dipoles)
         nt = len(self.tgt_tree.points)
         pot = np.zeros((C, nt))
         grad = np.zeros((C, nt, 3)) if want_gradient else None
-        src = self.src_tree.points
-        tgt = self.tgt_tree.points
-        if dip is None and grad is None:
-            # charge-only fast path: expanded-form distances, no (t,s,3) array
-            s_norm2 = np.einsum("si,si->s", src, src)
-            t_norm2 = np.einsum("ti,ti->t", tgt, tgt)
-            for tidx, sidx in self.p2p_items():
-                d2 = t_norm2[tidx][:, None] + s_norm2[sidx][None, :] - 2.0 * (
-                    tgt[tidx] @ src[sidx].T
-                )
-                # expanded form loses relative accuracy for tiny separations;
-                # recompute those (and exact coincidences) by differences
-                tol = 1e-10 * (t_norm2[tidx][:, None] + s_norm2[sidx][None, :])
-                close = d2 <= tol
-                if np.any(close):
-                    ti, si = np.nonzero(close)
-                    diff = tgt[tidx[ti]] - src[sidx[si]]
-                    d2[close] = np.einsum("ki,ki->k", diff, diff)
-                inv = np.zeros_like(d2)
-                np.divide(1.0, np.sqrt(d2), out=inv, where=d2 > 0.0)
-                pot[:, tidx] += q[:, sidx] @ inv.T
-            if single:
-                return pot[0]
-            return pot
         for tidx, sidx in self.p2p_items():
-            r = tgt[tidx][:, None, :] - src[sidx][None, :, :]
-            d2 = np.einsum("tsi,tsi->ts", r, r)
-            inv = np.zeros_like(d2)
-            np.divide(1.0, np.sqrt(d2), out=inv, where=d2 > 0.0)
-            if q is not None:
-                pot[:, tidx] += q[:, sidx] @ inv.T
-                if grad is not None:
-                    rw = np.einsum("tsi,ts->tsi", r, inv ** 3)
-                    grad[:, tidx] -= np.einsum("cs,tsi->cti", q[:, sidx], rw)
-            if dip is not None:
-                inv3 = inv ** 3
-                rn = np.einsum("tsi,csi->cts", r, dip[:, sidx])
-                pot[:, tidx] += np.einsum("cts,ts->ct", rn, inv3)
-                if grad is not None:
-                    # grad_x of d.(x-y)/r^3 = d/r^3 - 3 (d.r) r / r^5
-                    grad[:, tidx] += np.einsum("csi,ts->cti", dip[:, sidx], inv3)
-                    grad[:, tidx] -= 3.0 * np.einsum("cts,tsi,ts->cti", rn, r, inv ** 5)
-        if single:
-            return (pot[0], grad[0]) if want_gradient else pot[0]
-        return (pot, grad) if want_gradient else pot
+            v, g = laplace_sum(self.tgt_tree.points[tidx], self.src_tree.points[sidx],
+                               None if q is None else q[:, sidx],
+                               None if dip is None else dip[:, sidx], want_gradient)
+            pot[:, tidx] += v
+            if want_gradient:
+                grad[:, tidx] += g
+        return from_channels(pot, grad, single)
 
 
 def _stokeslet_channels(src_pos, strengths):
@@ -454,7 +362,7 @@ def _combine_stresslet(targets, pot, grad):
 
 
 def evaluate(kernel, src_pos, weights, targets, p, theta=0.5, n_crit=126,
-             normals=None, policy="fmm", plan=None):
+             normals=None, plan=None):
     """FMM approximation of :func:`fmmbem.kernels.direct_sum`.
 
     weights: (Ns,) charges for Laplace kernels, (Ns, 3) strengths for Stokes.
@@ -465,7 +373,7 @@ def evaluate(kernel, src_pos, weights, targets, p, theta=0.5, n_crit=126,
     src_pos = np.atleast_2d(np.asarray(src_pos, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if plan is None:
-        plan = FmmPlan(src_pos, targets, n_crit=n_crit, theta=theta, policy=policy)
+        plan = FmmPlan(src_pos, targets, n_crit=n_crit, theta=theta)
     if kind is KernelKind.LAPLACE_SINGLE:
         q = np.asarray(weights, dtype=float)
         return (plan.far_field(charges=q, p=p) + plan.near_field(charges=q)) / FOUR_PI

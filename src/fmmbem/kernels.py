@@ -58,6 +58,97 @@ def stresslet_contracted(x_t, x_s, normal_s):
     return 6.0 * outer * rn.reshape(shape + (1, 1)) / (dist ** 5).reshape(shape + (1, 1))
 
 
+def as_channels(charges, dipoles):
+    """Batch (Ns,) charges / (Ns, 3) dipoles as one channel.
+
+    Returns (C, Ns) charges and (C, Ns, 3) dipoles (either may be None), the
+    channel count C, and whether the input was unbatched.
+    """
+    q = None if charges is None else np.asarray(charges, dtype=float)
+    dip = None if dipoles is None else np.asarray(dipoles, dtype=float)
+    single = q.ndim == 1 if q is not None else dip.ndim == 2
+    if single:
+        q = None if q is None else q[None]
+        dip = None if dip is None else dip[None]
+    return q, dip, len(q if q is not None else dip), single
+
+
+def from_channels(pot, grad, single):
+    """Undo :func:`as_channels` on (C, Nt) potentials and optional gradients."""
+    if single:
+        pot, grad = pot[0], None if grad is None else grad[0]
+    return pot if grad is None else (pot, grad)
+
+
+def laplace_sum(targets, sources, charges=None, dipoles=None, want_gradient=False):
+    """Bare sums of q / r + d . (x - y) / r^3, r = |x - y|, over all pairs.
+
+    targets (Nt, 3), sources (Ns, 3); charges (C, Ns) and dipoles (C, Ns, 3),
+    either may be None, are C channels sharing one geometry.  Returns (C, Nt)
+    potentials and (C, Nt, 3) gradients at the targets, the latter None
+    unless want_gradient.  Coincident pairs contribute exactly zero.
+    """
+    # centring on the targets keeps the result translation invariant and the
+    # expanded-form cancellation small
+    origin = np.mean(targets, axis=0)
+    x = np.asarray(targets, dtype=float) - origin
+    y = np.asarray(sources, dtype=float) - origin
+    x2 = np.einsum("ti,ti->t", x, x)
+    y2 = np.einsum("si,si->s", y, y)
+    d2 = x @ y.T
+    d2 *= -2.0
+    d2 += x2[:, None]
+    d2 += y2[None, :]
+    # the expanded form loses relative accuracy for tiny separations;
+    # recompute those (and exact coincidences) from differences.  The cutoff
+    # uses the largest norms, so it is never tighter than a per-pair one.
+    close = d2 <= 1e-10 * (np.max(x2, initial=0.0) + np.max(y2, initial=0.0))
+    if np.any(close):
+        ti, si = np.nonzero(close)
+        diff = x[ti] - y[si]
+        dc = np.einsum("ki,ki->k", diff, diff)
+        dc[dc == 0.0] = np.inf
+        d2[close] = dc
+    inv = np.sqrt(d2, out=d2)
+    np.divide(1.0, inv, out=inv)
+    nt, ns = inv.shape
+
+    def gemm(rows, kern):
+        """sum_s rows[..., s] kern[t, s], shape (..., Nt)."""
+        return (rows.reshape(-1, ns) @ kern.T).reshape(rows.shape[:-1] + (nt,))
+
+    def separation_sum(rows, kern):
+        """sum_s rows[..., s] (x_t - y_s) kern[t, s], shape (..., Nt, 3)."""
+        f = gemm(np.stack([rows] + [rows * y[:, j] for j in range(3)]), kern)
+        return f[0][..., None] * x - np.moveaxis(f[1:], 0, -1)
+
+    C = len(charges if charges is not None else dipoles)
+    pot = np.zeros((C, nt))
+    grad = np.zeros((C, nt, 3)) if want_gradient else None
+    if charges is not None:
+        pot += gemm(charges, inv)
+    if not want_gradient and dipoles is None:
+        return pot, grad
+    inv3 = inv * inv
+    inv3 *= inv
+    if charges is not None and want_gradient:
+        grad -= separation_sum(charges, inv3)
+    if dipoles is not None:
+        # d . (x - y) = xh . m with xh = (x, 1) and m = (d, -d . y)
+        m = np.concatenate([np.moveaxis(dipoles, -1, 0),
+                            -np.einsum("csi,si->cs", dipoles, y)[None]])
+        xh = np.hstack([x, np.ones((nt, 1))])
+        b = gemm(m, inv3)
+        pot += np.einsum("kct,tk->ct", b, xh)
+        if want_gradient:
+            # grad of d . r / r^3 is d / r^3 - 3 (d . r) r / r^5
+            inv5 = inv3 * inv
+            inv5 *= inv
+            grad += np.moveaxis(b[:3], 0, -1)
+            grad -= 3.0 * np.einsum("kctj,tk->ctj", separation_sum(m, inv5), xh)
+    return pot, grad
+
+
 def direct_sum(kind, src_pos, weights, targets, normals=None, chunk=2048):
     """Direct O(N_t * N_s) kernel sum, deterministic (ascending source index).
 

@@ -1,7 +1,7 @@
 """Triangle quadrature rules and panel integration for collocation BEM.
 
 Panels carry piecewise-constant densities and are collocated at centroids.
-Three regimes are distinguished per (target, panel) pair:
+The operator layer treats each (target, panel) pair in one of three regimes:
 
 * far: a coarse symmetric rule is enough (and is what the fast summation
   uses, treating Gauss points as independent point sources),
@@ -10,14 +10,13 @@ Three regimes are distinguished per (target, panel) pair:
   in polar coordinates about it, radially exact for the 1/r singularity.
 """
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .kernels import FOUR_PI, KernelKind
+from .kernels import FOUR_PI
 
 
 @dataclass(frozen=True)
@@ -77,12 +76,6 @@ def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)
 
 
-class PanelRegime(enum.Enum):
-    FAR = "far"
-    NEAR = "near"
-    SINGULAR = "singular"
-
-
 def panel_geometry(vertices):
     """(centroid, unit normal, area) of one or many triangles.
 
@@ -119,57 +112,6 @@ def quadrature_points(vertices, rule):
     if single:
         return pts[0], wts[0]
     return pts, wts
-
-
-def classify(targets, centroids, areas, near_factor=2.0):
-    """Regime of every (target, panel) pair, as a (T, P) array of int codes.
-
-    Codes: 0 far, 1 near, 2 singular.  A pair is near when the target lies
-    within near_factor * sqrt(2 * area) of the panel centroid, and singular
-    when the distance is (numerically) zero.
-    """
-    t = np.atleast_2d(np.asarray(targets, dtype=float))
-    c = np.atleast_2d(np.asarray(centroids, dtype=float))
-    d = np.linalg.norm(t[:, None, :] - c[None, :, :], axis=-1)
-    cutoff = near_factor * np.sqrt(2.0 * np.asarray(areas, dtype=float))
-    out = np.zeros(d.shape, dtype=np.int8)
-    out[d < cutoff[None, :]] = 1
-    out[d < 1e-12 * np.maximum(1.0, np.linalg.norm(c, axis=1))[None, :]] = 2
-    return out
-
-
-def integrate_panel(kind, vertices, targets, rule=NEAR_RULE):
-    """Quadrature of one panel's kernel against a unit constant density.
-
-    Returns (T,) for Laplace kernels, (T, 3, 3) blocks for Stokes kernels
-    (block acting on the panel strength vector).  Targets must not lie on
-    the panel (use the singular routines for the self term).
-    """
-    kind = KernelKind(kind)
-    tgt = np.atleast_2d(np.asarray(targets, dtype=float))
-    _, normal, _ = panel_geometry(vertices)
-    pts, wts = quadrature_points(vertices, rule)
-    r = tgt[:, None, :] - pts[None, :, :]
-    dist = np.linalg.norm(r, axis=-1)
-    if np.any(dist == 0.0):
-        raise ValueError("target coincides with a quadrature point")
-    if kind is KernelKind.LAPLACE_SINGLE:
-        return np.sum(wts / dist, axis=1) / FOUR_PI
-    if kind is KernelKind.LAPLACE_DOUBLE:
-        rn = r @ normal
-        return np.sum(wts * rn / dist ** 3, axis=1) / FOUR_PI
-    if kind is KernelKind.STOKESLET:
-        outer = np.einsum("tki,tkj->tkij", r, r)
-        blocks = np.eye(3)[None, None] / dist[..., None, None] + outer / (
-            dist ** 3
-        )[..., None, None]
-        return np.einsum("k,tkij->tij", wts, blocks)
-    if kind is KernelKind.STRESSLET:
-        rn = r @ normal
-        outer = np.einsum("tki,tkj->tkij", r, r)
-        blocks = 6.0 * outer * (rn / dist ** 5)[..., None, None]
-        return np.einsum("k,tkij->tij", wts, blocks)
-    raise ValueError(f"unsupported kernel {kind!r}")
 
 
 def _local_frame(vertices):
@@ -245,17 +187,3 @@ def integrate_singular_stokeslet(vertices, n_gauss=32):
     local[:2, :2] += block2
     # flat panel: r has no normal component, so the n-n entry stays I * scalar
     return frame.T @ local @ frame
-
-
-def singular_panel_block(kind, vertices, n_gauss=32):
-    """Self-panel integral for any kernel (zero for the odd flat-panel ones)."""
-    kind = KernelKind(kind)
-    if kind is KernelKind.LAPLACE_SINGLE:
-        return integrate_singular_laplace(vertices, n_gauss)
-    if kind is KernelKind.LAPLACE_DOUBLE:
-        return 0.0
-    if kind is KernelKind.STOKESLET:
-        return integrate_singular_stokeslet(vertices, n_gauss)
-    if kind is KernelKind.STRESSLET:
-        return np.zeros((3, 3))
-    raise ValueError(f"unsupported kernel {kind!r}")

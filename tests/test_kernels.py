@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from fmmbem import kernels as K
+from fmmbem.fmm import (_combine_stokeslet, _combine_stresslet, _stokeslet_channels,
+                        _stresslet_channels)
 
 RNG = np.random.default_rng(11)
 
@@ -76,3 +78,60 @@ def test_direct_sum_chunking_invariant():
     a = K.direct_sum(K.KernelKind.LAPLACE_SINGLE, src, q, tgt, chunk=7)
     b = K.direct_sum(K.KernelKind.LAPLACE_SINGLE, src, q, tgt, chunk=1000)
     np.testing.assert_allclose(a, b, rtol=1e-15)
+
+
+def _laplace_sum_as(kind, src, w, tgt, normals):
+    """A kernel sum through laplace_sum and the FMM channel recombination."""
+    if kind is K.KernelKind.LAPLACE_SINGLE:
+        return K.laplace_sum(tgt, src, charges=w[None])[0][0] / K.FOUR_PI
+    if kind is K.KernelKind.LAPLACE_DOUBLE:
+        return K.laplace_sum(tgt, src, dipoles=(w[:, None] * normals)[None])[0][0] / K.FOUR_PI
+    if kind is K.KernelKind.STOKESLET:
+        pot, grad = K.laplace_sum(tgt, src, charges=_stokeslet_channels(src, w),
+                                  want_gradient=True)
+        return _combine_stokeslet(tgt, pot, grad)
+    pot, grad = K.laplace_sum(tgt, src, dipoles=_stresslet_channels(src, w, normals),
+                              want_gradient=True)
+    return _combine_stresslet(tgt, pot, grad)
+
+
+@pytest.mark.parametrize("kind", list(K.KernelKind))
+def test_laplace_sum_matches_direct_sum(kind):
+    # separated clouds: with close pairs the expanded forms of laplace_sum
+    # and the differences of direct_sum round differently by ~(extent/r)^2
+    ns, nt = 300, 40
+    src = RNG.uniform(-1, 1, size=(ns, 3))
+    tgt = RNG.uniform(2, 3, size=(nt, 3))
+    normals = RNG.normal(size=(ns, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    scalar = kind in (K.KernelKind.LAPLACE_SINGLE, K.KernelKind.LAPLACE_DOUBLE)
+    w = RNG.uniform(-1, 1, size=ns if scalar else (ns, 3))
+    ref = K.direct_sum(kind, src, w, tgt, normals=normals)
+    val = _laplace_sum_as(kind, src, w, tgt, normals)
+    np.testing.assert_allclose(val, ref, rtol=1e-12, atol=1e-14)
+
+
+def test_laplace_sum_coincident_pair_is_zero():
+    x = np.array([[0.3, -1.2, 2.5]])
+    pot, grad = K.laplace_sum(x, x, charges=np.array([[2.0]]),
+                              dipoles=np.array([[[0.5, -1.0, 0.25]]]), want_gradient=True)
+    assert np.all(pot == 0.0) and np.all(grad == 0.0)
+    # among other sources, the coincident one drops out of the sum
+    src = np.vstack([RNG.uniform(-1, 1, size=(20, 3)), x])
+    q = RNG.uniform(-1, 1, size=21)
+    val = K.laplace_sum(x, src, charges=q[None])[0][0]
+    ref = K.direct_sum(K.KernelKind.LAPLACE_SINGLE, src[:20], q[:20], x) * K.FOUR_PI
+    np.testing.assert_allclose(val, ref, rtol=1e-12)
+
+
+def test_laplace_sum_translation_invariant():
+    src = RNG.uniform(-1, 1, size=(200, 3))
+    tgt = RNG.uniform(-1, 1, size=(30, 3))
+    q = RNG.uniform(-1, 1, size=(2, 200))
+    dip = RNG.uniform(-1, 1, size=(2, 200, 3))
+    shift = np.array([1e3, -1e3, 1e3])
+    pot, grad = K.laplace_sum(tgt, src, q, dip, want_gradient=True)
+    pot_s, grad_s = K.laplace_sum(tgt + shift, src + shift, q, dip, want_gradient=True)
+    # shifted coordinates round at 1e3 * eps, so compare on the output scale
+    assert np.abs(pot_s - pot).max() <= 1e-10 * np.abs(pot).max()
+    assert np.abs(grad_s - grad).max() <= 1e-10 * np.abs(grad).max()

@@ -1,4 +1,4 @@
-"""Triangle rules, regime classification and singular panel integrals."""
+"""Triangle rules and singular panel integrals."""
 
 import numpy as np
 import pytest
@@ -50,16 +50,6 @@ def test_quadrature_points_integrate_area():
     assert np.isclose(wts @ f, area * (c @ [1.0, 2.0, 3.0] + 4.0))
 
 
-def test_classify_codes():
-    tris_c = np.array([[0.0, 0, 0], [10.0, 0, 0]])
-    areas = np.array([0.5, 0.5])
-    tgt = np.array([[0.0, 0, 0], [0.5, 0, 0], [5.0, 0, 0]])
-    codes = Q.classify(tgt, tris_c, areas)
-    assert codes[0, 0] == 2       # coincident
-    assert codes[1, 0] == 1       # within 2 sqrt(2 S)
-    assert codes[2, 0] == 0 and codes[2, 1] == 0
-
-
 def _duffy_reference(kind, tri, n=32):
     """Independent singularity-removing reference for the self integrals.
 
@@ -107,24 +97,3 @@ def test_singular_stokeslet_rotation_covariance():
     rotated = Q.integrate_singular_stokeslet(rot.apply(TRI))
     R = rot.as_matrix()
     np.testing.assert_allclose(rotated, R @ base @ R.T, rtol=1e-12, atol=1e-14)
-
-
-def test_singular_blocks_of_odd_kernels_vanish():
-    assert Q.singular_panel_block(KernelKind.LAPLACE_DOUBLE, TRI) == 0.0
-    np.testing.assert_array_equal(
-        Q.singular_panel_block(KernelKind.STRESSLET, TRI), np.zeros((3, 3)))
-
-
-def test_integrate_panel_far_limit():
-    """At large distance the panel acts like a point source of its area."""
-    _, _, area = Q.panel_geometry(TRI)
-    c, _, _ = Q.panel_geometry(TRI)
-    tgt = c + np.array([0.0, 0.0, 50.0])
-    val = Q.integrate_panel(KernelKind.LAPLACE_SINGLE, TRI, tgt)[0]
-    assert np.isclose(val, area / (FOUR_PI * 50.0), rtol=1e-3)
-
-
-def test_integrate_panel_rejects_on_panel_target():
-    pts, _ = Q.quadrature_points(TRI, Q.NEAR_RULE)
-    with pytest.raises(ValueError):
-        Q.integrate_panel(KernelKind.LAPLACE_SINGLE, TRI, pts[0])
