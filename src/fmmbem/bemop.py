@@ -150,31 +150,17 @@ class BemOperator:
                 self.src_weight.reshape(-1, k)[sj], nj,
             )
             fine = self._pair_rule_sums(kind, x, fine_pts[sj], fine_wts[sj], nj)
+            # the true self integral is the singular one below, not the
+            # 19-point rule; for the odd kernels it is exactly zero on a
+            # flat panel
+            fine[ti == sj] = 0.0
             deltas[lo:lo + chunk] = fine - coarse
         self_sel = np.flatnonzero(self._near_pairs[:, 0] == self._near_pairs[:, 1])
+        j = self._near_pairs[self_sel, 1]
         if kind is KernelKind.LAPLACE_SINGLE:
-            for s in self_sel:
-                j = self._near_pairs[s, 1]
-                deltas[s] += Q.integrate_singular_laplace(pv[j], n_gauss)
-                # remove the fine-rule term added above: the true self integral
-                # is the singular one, not the 19-point approximation
-                deltas[s] -= self._pair_rule_sums(
-                    kind, self.centroids[j:j + 1], fine_pts[j:j + 1],
-                    fine_wts[j:j + 1], self.normals[j:j + 1])[0]
+            deltas[self_sel] += Q.integrate_singular_laplace(pv[j], n_gauss)
         elif kind is KernelKind.STOKESLET:
-            for s in self_sel:
-                j = self._near_pairs[s, 1]
-                deltas[s] += Q.integrate_singular_stokeslet(pv[j], n_gauss)
-                deltas[s] -= self._pair_rule_sums(
-                    kind, self.centroids[j:j + 1], fine_pts[j:j + 1],
-                    fine_wts[j:j + 1], self.normals[j:j + 1])[0]
-        else:
-            # flat-panel self integral of the odd kernels is exactly zero
-            for s in self_sel:
-                j = self._near_pairs[s, 1]
-                deltas[s] -= self._pair_rule_sums(
-                    kind, self.centroids[j:j + 1], fine_pts[j:j + 1],
-                    fine_wts[j:j + 1], self.normals[j:j + 1])[0]
+            deltas[self_sel] += Q.integrate_singular_stokeslet(pv[j], n_gauss)
         ti, sj = self._near_pairs[:, 0], self._near_pairs[:, 1]
         if scalar:
             rows, cols, vals = ti, sj, deltas

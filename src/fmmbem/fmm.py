@@ -12,7 +12,6 @@ seven dipole potentials) whose values and gradients recombine at the targets.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,59 +25,16 @@ from .octree import build_tree, bounding_cube
 CELL_RADIUS_FACTOR = 1.0
 
 
+# Bodies per block of packed harmonics in P2M and L2P: 2048 x (19^2) doubles
+# is 5.6 MiB at p = 18, and larger blocks run no faster.
+POINT_CHUNK = 2048
+
+
 def required_p(eps):
     """Expansion order needed for accuracy eps at separation ratio 2."""
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must be in (0, 1]")
     return max(0, math.ceil(-math.log2(eps)))
-
-
-@dataclass
-class Expansion:
-    """Truncated multipole or local coefficient set about a center."""
-
-    center: np.ndarray
-    order: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape[-1] != H.num_coeffs(self.order):
-            raise ValueError("coefficient count must be (p+1)^2")
-
-
-def p2m(src_pos, charges, center, p, dipoles=None):
-    rel = np.atleast_2d(np.asarray(src_pos, dtype=float)) - np.asarray(center, dtype=float)
-    return Expansion(center, p, H.particle_to_multipole(rel, charges, p, dipoles=dipoles))
-
-
-def m2m(expansion, new_center):
-    d = expansion.center - np.asarray(new_center, dtype=float)
-    T = H.translation_matrix("m2m", d, expansion.order)
-    return Expansion(new_center, expansion.order, expansion.coeffs @ T.T)
-
-
-def m2l(expansion, target_center):
-    d = np.asarray(target_center, dtype=float) - expansion.center
-    T = H.translation_matrix("m2l", d, expansion.order)
-    return Expansion(target_center, expansion.order, expansion.coeffs @ T.T)
-
-
-def l2l(expansion, new_center):
-    d = np.asarray(new_center, dtype=float) - expansion.center
-    T = H.translation_matrix("l2l", d, expansion.order)
-    return Expansion(new_center, expansion.order, expansion.coeffs @ T.T)
-
-
-def m2p(expansion, targets, want_gradient=False):
-    rel = np.atleast_2d(np.asarray(targets, dtype=float)) - expansion.center
-    return H.multipole_to_point(expansion.coeffs, rel, expansion.order, want_gradient)
-
-
-def l2p(expansion, targets, want_gradient=False):
-    rel = np.atleast_2d(np.asarray(targets, dtype=float)) - expansion.center
-    return H.local_to_point(expansion.coeffs, rel, expansion.order, want_gradient)
 
 
 def dual_traversal(src_tree, tgt_tree, theta):
@@ -117,34 +73,69 @@ def dual_traversal(src_tree, tgt_tree, theta):
     return as_array(m2l_pairs), as_array(p2p_pairs)
 
 
+def _translate(T, s, src, src_cells, dst, dst_cells):
+    """dst[dst_cells] += diag(s) T diag(s) src[src_cells], as one GEMM.
+
+    s is the reflection sign vector under which T serves this group's offset
+    (see harmonics.reflection_signs); dst_cells must not repeat.
+    """
+    x = src[src_cells] * s
+    n, C, size = x.shape
+    dst[dst_cells] += (x.reshape(n * C, size) @ T.T).reshape(n, C, size) * s
+
+
+def _level_groups(tree):
+    """Child/parent pairs of a tree per level, for reflected M2M and L2L.
+
+    Returns, shallowest level first, the positive-octant child-minus-parent
+    offset of each level and its members (children, parents, flip), one per
+    octant, flip having bit a set where the octant lies below the parent's
+    center on axis a.
+    """
+    groups, offsets = [], []
+    for level in range(1, tree.n_levels):
+        cells = tree.cells_by_level[level]
+        parents = tree.parent[cells]
+        flips = (tree.center[cells] < tree.center[parents]) @ np.array([1, 2, 4])
+        groups.append([(cells[flips == f], parents[flips == f], f) for f in np.unique(flips)])
+        offsets.append(np.full(3, tree.half_width[cells[0]]))
+    return groups, np.reshape(offsets, (-1, 3))
+
+
 class FmmPlan:
     """Trees, traversal and cached translation data for one geometry."""
 
-    def __init__(self, src_pos, tgt_pos, n_crit=126, theta=0.5, max_depth=20, chunk=8192):
+    def __init__(self, src_pos, tgt_pos, n_crit=126, theta=0.5, max_depth=20):
         src_pos = np.atleast_2d(np.asarray(src_pos, dtype=float))
         tgt_pos = np.atleast_2d(np.asarray(tgt_pos, dtype=float))
         center, half = bounding_cube(np.vstack([src_pos, tgt_pos]))
         self.src_tree = build_tree(src_pos, n_crit, max_depth, center, half)
         self.tgt_tree = build_tree(tgt_pos, n_crit, max_depth, center, half)
         self.theta = theta
-        self.chunk = chunk
         self.m2l_pairs, self.p2p_pairs = dual_traversal(self.src_tree, self.tgt_tree, theta)
-        # group M2L pairs by their center offset (lattice-exact for shared roots)
+        # group M2L pairs by their center offset (lattice-exact for shared
+        # roots), and the offsets by their mirror image in the positive octant:
+        # one operator serves all eight reflections of an offset
+        self._m2l_groups = []
         if len(self.m2l_pairs):
             D = self.tgt_tree.center[self.m2l_pairs[:, 1]] - self.src_tree.center[self.m2l_pairs[:, 0]]
             quantum = half * 2.0 ** -(max_depth + 2)
             keys = np.round(D / quantum).astype(np.int64)
-            self._m2l_offsets, inverse = np.unique(keys, axis=0, return_inverse=True)
-            inverse = inverse.ravel()
-            self._m2l_offsets = self._m2l_offsets * quantum
-            order = np.argsort(inverse, kind="stable")
-            self._m2l_sorted = self.m2l_pairs[order]
-            self._m2l_group_id = inverse[order]
-            self._m2l_group_starts = np.searchsorted(
-                self._m2l_group_id, np.arange(len(self._m2l_offsets))
-            )
+            flips = (keys[:, 0] < 0) + 2 * (keys[:, 1] < 0) + 4 * (keys[:, 2] < 0)
+            mirrored, inverse = np.unique(np.abs(keys), axis=0, return_inverse=True)
+            self._m2l_offsets = mirrored * quantum
+            code = 8 * inverse.ravel() + flips
+            order = np.argsort(code, kind="stable")
+            starts = np.flatnonzero(np.diff(code[order], prepend=-1))
+            self._m2l_groups = [[] for _ in range(len(mirrored))]
+            for lo, hi in zip(starts, np.append(starts[1:], len(order))):
+                pairs = self.m2l_pairs[order[lo:hi]]
+                c = code[order[lo]]
+                self._m2l_groups[c // 8].append((pairs[:, 0], pairs[:, 1], c % 8))
         else:
             self._m2l_offsets = np.empty((0, 3))
+        self._m2m_groups, self._m2m_offsets = _level_groups(self.src_tree)
+        self._l2l_groups, self._l2l_offsets = _level_groups(self.tgt_tree)
         # per-target-leaf concatenated source body indices (original numbering)
         self._p2p_by_leaf = {}
         for s, t in self.p2p_pairs:
@@ -153,7 +144,7 @@ class FmmPlan:
         for t, cells in self._p2p_by_leaf.items():
             idx = np.concatenate([self._src_bodies(s) for s in cells])
             self._p2p_sources[t] = np.sort(idx)
-        self._igrid_cache = {}
+        self._igrid = (None, None)   # (p, signed M2L grid) of the last order used
 
     def _src_bodies(self, cell):
         tree = self.src_tree
@@ -179,12 +170,15 @@ class FmmPlan:
     # -- far field --------------------------------------------------------------
 
     def _igrids(self, p):
-        if p not in self._igrid_cache:
-            if len(self._m2l_offsets):
-                self._igrid_cache[p] = H.irregular(self._m2l_offsets, 2 * p)
-            else:
-                self._igrid_cache[p] = np.empty((0, H.num_coeffs(2 * p)), dtype=complex)
-        return self._igrid_cache[p]
+        """Signed packed irregular grid of order 2p at every M2L offset.
+
+        Only the last order is kept: a relaxed solve never raises p again.
+        """
+        if self._igrid[0] != p:
+            self._igrid = (None, None)   # free the old grid before building
+            grid = H.signed_grid(H.packed_irregular(self._m2l_offsets, 2 * p))
+            self._igrid = (p, grid)
+        return self._igrid[1]
 
     def far_field(self, charges=None, dipoles=None, p=8, want_gradient=False):
         """Expansion-mediated part of the 1/r (and dipole) potential.
@@ -206,98 +200,100 @@ class FmmPlan:
         return from_channels(pot, grad, single)
 
     def _upward(self, q, dip, p, C, size):
+        """P2M at the leaves, then M2M to the root.
+
+        Each leaf forms [q; d_x; d_y; d_z] @ R with one GEMM; the dipole
+        moments become multipole coefficients through the adjoint gradient
+        shift, applied to all leaves at once.
+        """
         tree = self.src_tree
-        M = np.zeros((tree.n_cells, C, size), dtype=complex)
-        qs = None if q is None else q[:, tree.perm]
-        ds = None if dip is None else dip[:, tree.perm]
-        rel = tree.sorted_points - tree.center[tree.leaf_of_body]
-        for lo in range(0, len(rel), self.chunk):
-            hi = min(lo + self.chunk, len(rel))
-            reg = H.regular(rel[lo:hi], p)
-            if ds is not None:
-                gx, gy, gz = H.regular_gradient(reg, p)
-            for leaf in self._leaves_in_range(tree, lo, hi):
-                s = max(tree.body_start[leaf], lo)
-                e = min(tree.body_start[leaf] + tree.body_count[leaf], hi)
-                block = slice(s - lo, e - lo)
-                if qs is not None:
-                    M[leaf] += qs[:, s:e] @ reg[block]
-                if ds is not None:
-                    M[leaf] += (
-                        ds[:, s:e, 0] @ gx[block]
-                        + ds[:, s:e, 1] @ gy[block]
-                        + ds[:, s:e, 2] @ gz[block]
-                    )
+        rows = [] if q is None else [q[:, tree.perm]]
+        if dip is not None:
+            # (C, 3, N): the three moment rows of a channel are adjacent
+            rows.append(np.moveaxis(dip[:, tree.perm], 2, 1).reshape(3 * C, -1))
+        weights = np.vstack(rows)
+        raw = np.zeros((len(tree.leaves), len(weights), size))
+
+        def visit(i, s, e, R):
+            raw[i] += weights[:, s:e] @ R
+
+        self._leaf_blocks(tree, p, visit)
+        leaf_M = 0.0 if q is None else raw[:, :C]
+        if dip is not None:
+            moments = raw[:, -3 * C:].reshape(len(tree.leaves), C, 3, size)
+            leaf_M = leaf_M + H.dipole_shift(moments, p)
+        M = np.zeros((tree.n_cells, C, size))
+        M[tree.leaves] = leaf_M
         self._vertical_sweep(tree, M, p, upward=True)
         return M
 
     @staticmethod
-    def _leaves_in_range(tree, lo, hi):
+    def _leaf_blocks(tree, p, visit):
+        """Call visit(leaf number, start, end, R) for each leaf's slice of each
+        point chunk, R the packed regular harmonics of those bodies about
+        their leaf center, shape (end - start, (p+1)^2)."""
+        rel = tree.sorted_points - tree.center[tree.leaf_of_body]
         starts = tree.body_start[tree.leaves]
         ends = starts + tree.body_count[tree.leaves]
-        sel = (ends > lo) & (starts < hi)
-        return tree.leaves[sel]
+        for lo in range(0, len(rel), POINT_CHUNK):
+            hi = min(lo + POINT_CHUNK, len(rel))
+            R = H.packed_regular(rel[lo:hi], p)
+            for i in np.flatnonzero((ends > lo) & (starts < hi)):
+                s, e = max(starts[i], lo), min(ends[i], hi)
+                visit(i, s, e, R[s - lo:e - lo])
 
     def _vertical_sweep(self, tree, coeffs, p, upward):
         """M2M (upward) or L2L (downward) between parents and children."""
-        kind = "m2m" if upward else "l2l"
-        levels = range(tree.n_levels - 1, 0, -1) if upward else range(1, tree.n_levels)
-        for level in levels:
-            cells = tree.cells_by_level[level]
-            if len(cells) == 0:
-                continue
-            parents = tree.parent[cells]
-            offs = tree.center[cells] - tree.center[parents]
-            # 8 octant offsets at most per level; group to share the operator
-            keys = (offs[:, 0] > 0).astype(int) + 2 * (offs[:, 1] > 0) + 4 * (offs[:, 2] > 0)
-            for o in np.unique(keys):
-                sel = keys == o
-                d = offs[sel][0]
-                T = H.translation_matrix(kind, d, p)
-                n_sel, C, size = coeffs[cells[sel]].shape
+        groups = self._m2m_groups if upward else self._l2l_groups
+        if not groups:
+            return
+        offsets = self._m2m_offsets if upward else self._l2l_offsets
+        grids = H.signed_grid(H.packed_regular(offsets, p))
+        maps = H.translation_maps("m2m" if upward else "l2l", p)
+        signs = H.reflection_signs(p)
+        for g in range(len(groups) - 1, -1, -1) if upward else range(len(groups)):
+            T = H.assemble(grids[g], maps)
+            for children, parents, flip in groups[g]:
                 if upward:
-                    flat = coeffs[cells[sel]].reshape(n_sel * C, size)
-                    np.add.at(coeffs, parents[sel], (flat @ T.T).reshape(n_sel, C, size))
+                    # a parent has one child per octant, so parents are unique here
+                    _translate(T, signs[flip], coeffs, children, coeffs, parents)
                 else:
-                    flat = coeffs[parents[sel]].reshape(n_sel * C, size)
-                    coeffs[cells[sel]] += (flat @ T.T).reshape(n_sel, C, size)
+                    _translate(T, signs[flip], coeffs, parents, coeffs, children)
 
     def _m2l_sweep(self, M, p, C, size):
-        L = np.zeros((self.tgt_tree.n_cells, C, size), dtype=complex)
+        L = np.zeros((self.tgt_tree.n_cells, C, size))
         if not len(self._m2l_offsets):
             return L
-        igrids = self._igrids(p)
-        gmap, sign = H.m2l_map(p)
-        bounds = np.append(self._m2l_group_starts, len(self._m2l_sorted))
-        for g in range(len(self._m2l_offsets)):
-            pairs = self._m2l_sorted[bounds[g]:bounds[g + 1]]
-            T = sign[:, None] * np.conj(igrids[g])[gmap]
-            flat = M[pairs[:, 0]].reshape(len(pairs) * C, size)
-            contrib = (flat @ T.T).reshape(len(pairs), C, size)
-            L[pairs[:, 1]] += contrib  # targets are unique within a group
+        grids = self._igrids(p)
+        maps = H.translation_maps("m2l", p)
+        signs = H.reflection_signs(p)
+        for g, members in enumerate(self._m2l_groups):
+            T = H.assemble(grids[g], maps)
+            for src, tgt, flip in members:
+                # targets are unique within one offset
+                _translate(T, signs[flip], M, src, L, tgt)
+        L *= H.row_sign(p)
         return L
 
     def _l2l_sweep(self, L, p):
         self._vertical_sweep(self.tgt_tree, L, p, upward=False)
 
     def _l2p(self, L, p, pot, grad):
+        """Potential (and gradient) rows of every leaf against its bodies'
+        regular harmonics, one GEMM per leaf block."""
         tree = self.tgt_tree
-        rel = tree.sorted_points - tree.center[tree.leaf_of_body]
-        for lo in range(0, len(rel), self.chunk):
-            hi = min(lo + self.chunk, len(rel))
-            reg = H.regular(rel[lo:hi], p)
-            if grad is not None:
-                gx, gy, gz = H.regular_gradient(reg, p)
-            for leaf in self._leaves_in_range(tree, lo, hi):
-                s = max(tree.body_start[leaf], lo)
-                e = min(tree.body_start[leaf] + tree.body_count[leaf], hi)
-                block = slice(s - lo, e - lo)
-                idx = tree.perm[s:e]
-                pot[:, idx] += np.real(L[leaf] @ reg[block].T)
-                if grad is not None:
-                    grad[:, idx, 0] += np.real(L[leaf] @ gx[block].T)
-                    grad[:, idx, 1] += np.real(L[leaf] @ gy[block].T)
-                    grad[:, idx, 2] += np.real(L[leaf] @ gz[block].T)
+        rows = H.local_field_coeffs(L[tree.leaves], p, grad is not None)
+        n_leaf, C, k, size = rows.shape
+        rows = rows.reshape(n_leaf, C * k, size)
+        field = np.zeros((C, k, len(tree.perm)))     # in sorted body order
+
+        def visit(i, s, e, R):
+            field[:, :, s:e] += (rows[i] @ R.T).reshape(C, k, e - s)
+
+        self._leaf_blocks(tree, p, visit)
+        pot[:, tree.perm] += field[:, 0]
+        if grad is not None:
+            grad[:, tree.perm] += np.moveaxis(field[:, 1:], 1, 2)
 
     # -- near field -------------------------------------------------------------
 

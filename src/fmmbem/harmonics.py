@@ -1,7 +1,7 @@
 """Solid spherical harmonics and the translation machinery built on them.
 
-Two families are used throughout, stored as flat complex arrays indexed by
-``n*n + n + m`` for 0 <= n <= p, -n <= m <= n:
+Two families are used throughout, indexed by ``n*n + n + m`` for
+0 <= n <= p, -n <= m <= n:
 
 * regular   R_n^m(r) = rho^n P_n^m(cos a) e^{i m b} / (n+m)!
 * irregular I_n^m(r) = (n-m)! P_n^m(cos a) e^{i m b} / rho^(n+1)
@@ -19,12 +19,31 @@ and the gradient shift rules
 * dz I_n^m = -I_{n+1}^m, (dx + i dy) I_n^m = I_{n+1}^{m+1},
   (dx - i dy) I_n^m = -I_{n+1}^{m-1}
 
+:func:`regular` and :func:`irregular` return these as flat complex arrays;
+they are the definitions.  Everything the solver runs works on the packed
+real form instead.  Sources are real, so every coefficient set obeys
+c_n^{-m} = (-1)^m conj(c_n^m) and half of it is redundant: a packed array
+has the same ``(p+1)^2`` length and index, with slot ``(n, m >= 0)`` holding
+Re c_n^m and slot ``(n, -m)`` holding Im c_n^m.  A real sum over the full
+index then becomes a weighted dot product of packed arrays:
+
+* sum_nm L_n^m R_n^m       = sum_s w_s L_s R_s,  w = 1 (m = 0), 2 (m > 0),
+  -2 (m < 0 slots)
+* sum_nm M_n^m conj(I_n^m) = sum_s w_s M_s I_s,  w = 1, 2, 2
+
+Every translation is a real ``(p+1)^2 x (p+1)^2`` matrix whose entries are
+signed entries of one packed harmonic grid, summed in pairs, and reflecting
+the offset in an axis only flips signs of its rows and columns.  Gradients
+and dipole sources act on coefficients through sparse matrices with at most
+two entries per slot and axis.
+
 All functions are batched over the leading axis and stateless.
 """
 
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def num_coeffs(p):
@@ -85,186 +104,311 @@ def irregular(vecs, p):
     return out
 
 
-def _append_zero_slot(arr):
-    """Add one trailing zero entry so gather maps can use index -1 for 'absent'."""
-    pad = np.zeros(arr.shape[:-1] + (1,), dtype=arr.dtype)
-    return np.concatenate([arr, pad], axis=-1)
+# -- packed real form -----------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def shift_maps(p):
-    """Index maps realizing the gradient shift rules on flat arrays of order p.
+def _packed(vecs, p, irreg):
+    """Packed R (or I) as a slot-major (S, N) array.
 
-    Returns dict with int arrays of length (p+1)^2; -1 marks entries that fall
-    outside the triangle (gathered from a zero slot).  'dn_*' maps give the
-    coefficient of order n-1 (for regular gradients), 'up_*' the order n+1
-    coefficient (for irregular gradients).
+    Along each m the recurrence in n has real coefficients, so c_n^m is a real
+    factor times the complex diagonal entry c_m^m; only that entry is carried
+    as a (real, imaginary) pair.
     """
-    size = num_coeffs(p)
-    dn_z = np.full(size, -1, dtype=np.intp)
-    dn_p = np.full(size, -1, dtype=np.intp)  # m+1 at n-1
-    dn_m = np.full(size, -1, dtype=np.intp)  # m-1 at n-1
-    up_z = np.full(size, -1, dtype=np.intp)
-    up_p = np.full(size, -1, dtype=np.intp)
-    up_m = np.full(size, -1, dtype=np.intp)
-    for n in range(p + 1):
-        for m in range(-n, n + 1):
-            i = flat_index(n, m)
-            if n >= 1:
-                if abs(m) <= n - 1:
-                    dn_z[i] = flat_index(n - 1, m)
-                if abs(m + 1) <= n - 1:
-                    dn_p[i] = flat_index(n - 1, m + 1)
-                if abs(m - 1) <= n - 1:
-                    dn_m[i] = flat_index(n - 1, m - 1)
-            if n + 1 <= p:
-                up_z[i] = flat_index(n + 1, m)
-                up_p[i] = flat_index(n + 1, m + 1)
-                up_m[i] = flat_index(n + 1, m - 1)
-    return {"dn_z": dn_z, "dn_p": dn_p, "dn_m": dn_m,
-            "up_z": up_z, "up_p": up_p, "up_m": up_m}
+    v = np.atleast_2d(np.asarray(vecs, dtype=float))
+    x, y, z = (np.ascontiguousarray(v[:, i]) for i in range(3))
+    rho2 = x * x + y * y + z * z
+    inv = 1.0 / rho2 if irreg else None
+    out = np.empty((num_coeffs(p), len(v)))
+    re = 1.0 / np.sqrt(rho2) if irreg else np.ones(len(v))
+    im = np.zeros(len(v))
+    for m in range(p + 1):
+        if m:
+            c = -(2 * m - 1) * inv if irreg else -1.0 / (2 * m)
+            re, im = c * (x * re - y * im), c * (x * im + y * re)
+        a2, a1 = None, np.ones(len(v))
+        for n in range(m, p + 1):
+            if n == m + 1:
+                a2, a1 = a1, ((2 * m + 1) * z * inv) if irreg else z
+            elif n > m + 1:
+                if irreg:
+                    a = ((2 * n - 1) * z * a1 - ((n - 1) ** 2 - m * m) * a2) * inv
+                else:
+                    a = ((2 * n - 1) * z * a1 - rho2 * a2) * (1.0 / ((n + m) * (n - m)))
+                a2, a1 = a1, a
+            np.multiply(a1, re, out=out[flat_index(n, m)])
+            if m:
+                np.multiply(a1, im, out=out[flat_index(n, -m)])
+    return out
 
 
-def regular_gradient(reg, p):
-    """(dx, dy, dz) of R_n^m arrays, each shaped like ``reg``.
+def packed_regular(vecs, p):
+    """Packed real R_n^m for a batch of vectors, shape (N, (p+1)^2)."""
+    return _packed(vecs, p, irreg=False).T
 
-    ``reg`` must hold coefficients of order p (gradient uses orders <= p-1).
+
+def packed_irregular(vecs, p):
+    """Packed real I_n^m for a batch of nonzero vectors, shape (N, (p+1)^2)."""
+    return _packed(vecs, p, irreg=True).T
+
+
+def signed_grid(grid):
+    """[G, -G, 0] along the last axis: the table the translation maps index."""
+    g = np.asarray(grid, dtype=float)
+    size = g.shape[-1]
+    out = np.empty(g.shape[:-1] + (2 * size + 1,))
+    out[..., :size] = g
+    np.negative(g, out=out[..., size:2 * size])
+    out[..., -1] = 0.0
+    return out
+
+
+def _slots(p):
+    """(n, m) of every packed slot of order p."""
+    n = np.repeat(np.arange(p + 1), 2 * np.arange(p + 1) + 1)
+    return n, np.arange(num_coeffs(p)) - n * n - n
+
+
+def _full_terms(n, m):
+    """Packed slots and weights of full indices: c_n^m = w1 P[s1] + w2 P[s2]."""
+    mu = np.abs(m)
+    odd = (-1.0) ** mu
+    w1 = np.where(m < 0, odd, 1.0)
+    w2 = np.where(m > 0, 1j, np.where(m < 0, -1j * odd, 0.0))
+    return (flat_index(n, mu), flat_index(n, -mu)), (w1, w2)
+
+
+# (grid order as a function of p, conjugate, grid index (nu, mu) of the
+# complex entry T[(no, mo), (ni, mi)])
+_TRANSLATIONS = {
+    # M_n^m = sum_jk R_{n-j}^{m-k}(d) M_j^k, d = child - parent
+    "m2m": (lambda p: p, False, lambda no, mo, ni, mi: (no - ni, mo - mi)),
+    # L_n^m = sum_jk R_{j-n}^{k-m}(d) L_j^k, d = child - parent
+    "l2l": (lambda p: p, False, lambda no, mo, ni, mi: (ni - no, mi - mo)),
+    # L_j^k = (-1)^j sum_nm conj(I_{n+j}^{m+k}(d)) M_n^m, d = target - source;
+    # the row sign (-1)^j is left to the caller (see row_sign)
+    "m2l": (lambda p: 2 * p, True, lambda no, mo, ni, mi: (ni + no, mi + mo)),
+}
+
+
+@lru_cache(maxsize=8)
+def translation_maps(kind, p):
+    """Index maps of a packed translation operator into a signed grid.
+
+    With ``grid`` the packed harmonics of the offset (regular of order p for
+    'm2m' and 'l2l', irregular of order 2p for 'm2l') and G = signed_grid(grid),
+    the operator is ``G[map1] + G[map2]`` (:func:`assemble`), applied as
+    ``coeffs_new = coeffs_old @ T.T``.  For 'm2l' the rows still lack
+    :func:`row_sign`.
     """
-    maps = shift_maps(p)
-    padded = _append_zero_slot(reg)
-    a = padded[..., maps["dn_p"]]          # (dx + i dy) R
-    b = -padded[..., maps["dn_m"]]         # (dx - i dy) R
-    gx = 0.5 * (a + b)
-    gy = (a - b) / 2j
-    gz = padded[..., maps["dn_z"]]
-    return gx, gy, gz
+    q_of, conj, grid_nm = _TRANSLATIONS[kind]
+    q = q_of(p)
+    size_q = num_coeffs(q)
+    n_o, m_o = _slots(p)
+    o_mu = np.abs(m_o)[:, None]
+    o_w = np.where(m_o < 0, -1j, 1.0)[:, None]   # P_r = Re(o_w c_(n, |m|))
+    # column s = (n, m) of the packed input reads the full inputs (n, +-|m|)
+    n_i, m_i = _slots(p)
+    maps = []
+    for sgn in (1, -1):
+        full_m = sgn * np.abs(m_i)
+        _, (w1, w2) = _full_terms(n_i, full_m)
+        w_i = np.where(m_i < 0, w2, w1)
+        present = (sgn > 0) | (m_i != 0)
+        nu, mu = grid_nm(n_o[:, None], o_mu, n_i[None, :], full_m[None, :])
+        valid = (nu >= 0) & (np.abs(mu) <= nu) & present[None, :]
+        # grid entry g = g1 G[re_idx] + i g_im G[im_idx]
+        (re_idx, im_idx), (g1, g2) = _full_terms(np.where(valid, nu, 0),
+                                                 np.where(valid, mu, 0))
+        g_im = -g2.imag if conj else g2.imag
+        u = o_w * w_i[None, :]                   # a unit: +-1 or +-i
+        real_u = u.real != 0.0
+        # Re(u g) is u g1 G[re_idx] for real u, -Im(u) g_im G[im_idx] otherwise
+        sign = np.where(real_u, u.real * g1, -u.imag * g_im) * valid
+        index = np.where(real_u, re_idx, im_idx)
+        maps.append(np.where(sign > 0, index,
+                             np.where(sign < 0, index + size_q, 2 * size_q)).astype(np.intp))
+    return tuple(maps)
 
 
-def irregular_gradient(irr_p1, p):
-    """(dx, dy, dz) of I_n^m at order p, from I arrays computed at order p+1."""
-    maps = shift_maps(p + 1)
-    size = num_coeffs(p)
-    padded = _append_zero_slot(irr_p1)
-    a = padded[..., maps["up_p"][:size]]
-    b = -padded[..., maps["up_m"][:size]]
-    gx = 0.5 * (a + b)
-    gy = (a - b) / 2j
-    gz = -padded[..., maps["up_z"][:size]]
-    return gx, gy, gz
+def assemble(grid_row, maps):
+    """Translation operator from one signed grid row and its two index maps."""
+    T = grid_row[maps[0]]
+    T += grid_row[maps[1]]
+    return T
 
 
-@lru_cache(maxsize=64)
-def rconv_map(p):
-    """Gather map for R-convolution translations (M2M and L2L).
+def row_sign(p):
+    """(-1)^n per packed slot: the row sign M2L leaves out of its maps."""
+    n, _ = _slots(p)
+    return (-1.0) ** n
 
-    T[out, in] = R_{delta_n}^{delta_m}(d): for M2M delta = out - in, for L2L
-    delta = in - out.  Returns (m2m_map, l2l_map), each ((p+1)^2, (p+1)^2)
-    int arrays into a flat R array of order p, with -1 for absent terms.
+
+def reflection_signs(p):
+    """Packed sign vectors of the axis reflections, shape (8, (p+1)^2).
+
+    Row f flips x if bit 0 of f is set, y for bit 1 and z for bit 2.  R and I
+    of the reflected vector are the row times the originals, slot by slot,
+    so every translation obeys T(reflected d) = diag(s) T(d) diag(s).
     """
-    size = num_coeffs(p)
-    m2m = np.full((size, size), -1, dtype=np.intp)
-    l2l = np.full((size, size), -1, dtype=np.intp)
-    for n in range(p + 1):
-        for m in range(-n, n + 1):
-            o = flat_index(n, m)
-            for j in range(p + 1):
-                for k in range(-j, j + 1):
-                    i = flat_index(j, k)
-                    if j <= n and abs(m - k) <= n - j:
-                        m2m[o, i] = flat_index(n - j, m - k)
-                    if j >= n and abs(k - m) <= j - n:
-                        l2l[o, i] = flat_index(j - n, k - m)
-    return m2m, l2l
-
-
-@lru_cache(maxsize=64)
-def m2l_map(p):
-    """Gather map and sign for M2L.
-
-    L_j^k = (-1)^j sum_nm M_n^m conj(I_{n+j}^{m+k}(D)); the map indexes a flat
-    irregular array of order 2p.  Returns (map, sign) with shape
-    ((p+1)^2, (p+1)^2).
-    """
-    size = num_coeffs(p)
-    gmap = np.empty((size, size), dtype=np.intp)
-    sign = np.empty(size, dtype=float)
-    for j in range(p + 1):
-        for k in range(-j, j + 1):
-            o = flat_index(j, k)
-            sign[o] = (-1.0) ** j
-            for n in range(p + 1):
-                for m in range(-n, n + 1):
-                    gmap[o, flat_index(n, m)] = flat_index(n + j, m + k)
-    return gmap, sign
+    n, m = _slots(p)
+    sy = np.where(m < 0, -1.0, 1.0)                 # y -> -y conjugates
+    axes = [(-1.0) ** np.abs(m) * sy, sy, (-1.0) ** (n + np.abs(m))]
+    out = np.ones((8, len(n)))
+    for f in range(8):
+        for a in range(3):
+            if f >> a & 1:
+                out[f] *= axes[a]
+    return out
 
 
 def translation_matrix(kind, d, p):
-    """Dense ((p+1)^2, (p+1)^2) translation operator for offset d.
+    """Dense packed ((p+1)^2, (p+1)^2) translation operator for offset d.
 
     kind: 'm2m' or 'l2l' (d = child_center - parent_center, applied as
-    coeffs_new = T @ coeffs_old) or 'm2l' (d = target_center - source_center).
+    coeffs_new = coeffs_old @ T.T) or 'm2l' (d = target_center - source_center).
     """
-    d = np.asarray(d, dtype=float)
+    if kind not in _TRANSLATIONS:
+        raise ValueError(f"unknown translation kind {kind!r}")
+    d = np.asarray(d, dtype=float)[None, :]
     if kind == "m2l":
-        gmap, sign = m2l_map(p)
-        grid = irregular(d[None, :], 2 * p)[0]
-        return sign[:, None] * np.conj(grid)[gmap]
-    grid = _append_zero_slot(regular(d[None, :], p)[0])
-    m2m, l2l = rconv_map(p)
-    if kind == "m2m":
-        return grid[m2m]
-    if kind == "l2l":
-        return grid[l2l]
-    raise ValueError(f"unknown translation kind {kind!r}")
+        grid = signed_grid(packed_irregular(d, 2 * p)[0])
+    else:
+        grid = signed_grid(packed_regular(d, p)[0])
+    T = assemble(grid, translation_maps(kind, p))
+    return row_sign(p)[:, None] * T if kind == "m2l" else T
+
+
+# -- gradients and dipoles on coefficients ---------------------------------------
+
+# Complex shift rules as (dn, [(dm, factor), ...]) per axis: the output slot
+# (n, m) takes factor * c_{n+dn}^{m+dm} of the input set.
+_SHIFTS = {
+    # d/dx_a of sum L_n^m R_n^m(x) is a local expansion with coefficients
+    # L_{n+1} shifted in m
+    "local": (1, [[(-1, 0.5), (1, -0.5)], [(-1, -0.5j), (1, -0.5j)], [(0, 1.0)]]),
+    # d/dx_a of sum M_n^m conj(I_n^m(x)) is a multipole expansion one order up
+    "multipole": (-1, [[(-1, 0.5), (1, -0.5)], [(-1, 0.5j), (1, 0.5j)], [(0, -1.0)]]),
+    # a dipole d at y adds d . grad_y R_n^m(y): the adjoint of the local rule
+    "dipole": (-1, [[(1, 0.5), (-1, -0.5)], [(1, -0.5j), (-1, -0.5j)], [(0, 1.0)]]),
+}
+
+
+@lru_cache(maxsize=8)
+def shift_matrix(kind, p):
+    """Sparse packed matrix of the gradient or dipole shifts.
+
+    'local': order p -> three order-p sets stacked (the n = p rows are zero),
+    so that sum_s w_s X_s R_s with X a shifted set is d/dx_a of the local
+    field.  'multipole': order p + 1 (input zero-padded from p) -> three
+    order-(p+1) sets.  'dipole': three order-p moment sets flattened to
+    3 (p+1)^2 -> one order-p multipole set.  Each row has at most two
+    entries per axis.
+    """
+    dn, axes = _SHIFTS[kind]
+    q = p + 1 if kind == "multipole" else p
+    size = num_coeffs(q)
+    n, m = _slots(q)
+    mu = np.abs(m)
+    out_w = np.where(m < 0, -1j, 1.0)            # P_r = Re(out_w c_(n, |m|))
+    rows, cols, vals = [], [], []
+    for a, terms in enumerate(axes):
+        for dm, factor in terms:
+            src_n, src_m = n + dn, mu + dm
+            ok = (src_n >= 0) & (src_n <= q) & (np.abs(src_m) <= src_n)
+            slots, ws = _full_terms(src_n[ok], src_m[ok])
+            for slot, w in zip(slots, ws):
+                if kind == "dipole":   # axis a reads block a of the moments
+                    rows.append(np.flatnonzero(ok))
+                    cols.append(slot + a * size)
+                else:
+                    rows.append(np.flatnonzero(ok) + a * size)
+                    cols.append(slot)
+                vals.append(np.real(out_w[ok] * factor * w))
+    shape = (size, 3 * size) if kind == "dipole" else (3 * size, size)
+    B = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=shape)
+    B.eliminate_zeros()
+    return B
+
+
+def _apply_shift(X, kind, p):
+    """(..., k, S_out) shifted sets of the coefficients X (..., S_in)."""
+    B = shift_matrix(kind, p)
+    flat = X.reshape(-1, X.shape[-1])
+    out = (B @ flat.T).T
+    return out.reshape(X.shape[:-1] + (-1, num_coeffs(p + 1 if kind == "multipole" else p)))
+
+
+def _slot_weights(p, multipole):
+    _, m = _slots(p)
+    return np.where(m == 0, 1.0, np.where((m > 0) | multipole, 2.0, -2.0))
+
+
+def dipole_shift(moments, p):
+    """Multipole coefficients of dipole sources from their moment sets.
+
+    moments: (..., 3, S) packed sums (d_x, d_y, d_z) @ R over the sources, R
+    the packed regular harmonics of order p.  Returns (..., S).
+    """
+    flat = moments.reshape(moments.shape[:-2] + (-1,))
+    return _apply_shift(flat, "dipole", p)[..., 0, :]
+
+
+def local_field_coeffs(coeffs, p, want_gradient=False):
+    """Rows that turn packed regular harmonics into a local expansion's field.
+
+    coeffs: (..., S) packed local coefficients.  Returns (..., k, S), k = 1
+    (potential) or 4 (potential, d/dx, d/dy, d/dz), slot weights included, so
+    that ``rows @ packed_regular(rel, p).T`` is the field at ``rel``.
+    """
+    w = _slot_weights(p, multipole=False)
+    pot = (coeffs * w)[..., None, :]
+    if not want_gradient:
+        return pot
+    return np.concatenate([pot, _apply_shift(coeffs, "local", p) * w], axis=-2)
 
 
 def particle_to_multipole(rel_pos, charges, p, dipoles=None):
-    """Multipole coefficients of point charges (and optional dipoles).
+    """Packed multipole coefficients of point charges (and optional dipoles).
 
     rel_pos: (N, 3) positions relative to the expansion center.
     charges: (..., N) weights, leading axes are broadcast channels.
     dipoles: optional (..., N, 3) dipole moments (normal-derivative sources).
     Returns coefficients shaped (..., (p+1)^2).
     """
-    reg = regular(rel_pos, p)
+    reg = packed_regular(rel_pos, p)
     coeffs = np.asarray(charges, dtype=float) @ reg
     if dipoles is not None:
-        gx, gy, gz = regular_gradient(reg, p)
-        dip = np.asarray(dipoles, dtype=float)
-        coeffs = coeffs + dip[..., 0] @ gx + dip[..., 1] @ gy + dip[..., 2] @ gz
+        moments = np.swapaxes(np.asarray(dipoles, dtype=float), -1, -2) @ reg
+        coeffs = coeffs + dipole_shift(moments, p)
     return coeffs
 
 
 def multipole_to_point(coeffs, rel_pos, p, want_gradient=False):
-    """Evaluate a multipole expansion at points relative to its center.
+    """Evaluate a packed multipole expansion at points relative to its center.
 
     coeffs: ((p+1)^2,) or (C, (p+1)^2); rel_pos: (N, 3).  Returns (N,) or
     (C, N) potentials and, if requested, gradients with a trailing 3-axis.
     """
-    single = np.asarray(coeffs).ndim == 1
-    c = np.atleast_2d(coeffs)
-    irr = irregular(rel_pos, p + 1 if want_gradient else p)
-    size = num_coeffs(p)
-    pot = np.real(c[:, :size] @ np.conj(irr[:, :size]).T)
-    if not want_gradient:
-        return pot[0] if single else pot
-    gx, gy, gz = irregular_gradient(irr, p)
-    grad = np.stack([np.real(c[:, :size] @ np.conj(g).T) for g in (gx, gy, gz)], axis=-1)
-    if single:
-        return pot[0], grad[0]
-    return pot, grad
+    c = np.asarray(coeffs, dtype=float)
+    q = p + 1 if want_gradient else p
+    w = _slot_weights(q, multipole=True)
+    padded = np.zeros(c.shape[:-1] + (num_coeffs(q),))
+    padded[..., :num_coeffs(p)] = c
+    rows = (padded * w)[..., None, :]
+    if want_gradient:
+        rows = np.concatenate([rows, _apply_shift(padded, "multipole", p) * w], axis=-2)
+    return _field(rows @ packed_irregular(rel_pos, q).T, want_gradient)
 
 
 def local_to_point(coeffs, rel_pos, p, want_gradient=False):
-    """Evaluate a local expansion at points relative to its center."""
-    single = np.asarray(coeffs).ndim == 1
-    c = np.atleast_2d(coeffs)
-    reg = regular(rel_pos, p)
-    pot = np.real(c @ reg.T)
+    """Evaluate a packed local expansion at points relative to its center."""
+    rows = local_field_coeffs(np.asarray(coeffs, dtype=float), p, want_gradient)
+    return _field(rows @ packed_regular(rel_pos, p).T, want_gradient)
+
+
+def _field(values, want_gradient):
+    """(..., k, N) field rows -> potential (..., N) and gradient (..., N, 3)."""
     if not want_gradient:
-        return pot[0] if single else pot
-    gx, gy, gz = regular_gradient(reg, p)
-    grad = np.stack([np.real(c @ g.T) for g in (gx, gy, gz)], axis=-1)
-    if single:
-        return pot[0], grad[0]
-    return pot, grad
+        return values[..., 0, :]
+    return values[..., 0, :], np.moveaxis(values[..., 1:, :], -2, -1)

@@ -71,6 +71,11 @@ FAR_RULE = _make_far_rule()
 NEAR_RULE = _make_near_rule()
 
 
+# panels per block of the batched singular rules: a (block, 3, n_gauss)
+# temporary stays under 0.5 MB, so set-up leaves no freed gap in the heap
+SINGULAR_CHUNK = 256
+
+
 @lru_cache(maxsize=16)
 def _leggauss(n):
     return np.polynomial.legendre.leggauss(n)
@@ -115,75 +120,88 @@ def quadrature_points(vertices, rule):
 
 
 def _local_frame(vertices):
-    """Orthonormal frame (e1, e2, n) and in-plane vertex coords about the centroid."""
+    """Orthonormal frames (e1, e2, n) and in-plane vertex coords about the centroids.
+
+    vertices: (P, 3, 3).  Returns frames (P, 3, 3) with rows e1, e2, n and
+    uv (P, 3, 2).
+    """
     v = np.asarray(vertices, dtype=float)
     centroid, normal, _ = panel_geometry(v)
-    e1 = v[1] - v[0]
-    e1 = e1 - np.dot(e1, normal) * normal
-    e1 /= np.linalg.norm(e1)
+    e1 = v[:, 1] - v[:, 0]
+    e1 -= np.einsum("pi,pi->p", e1, normal)[:, None] * normal
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(normal, e1)
-    rel = v - centroid
-    uv = np.stack([rel @ e1, rel @ e2], axis=1)
-    return centroid, np.stack([e1, e2, normal]), uv
+    rel = v - centroid[:, None]
+    uv = np.stack([np.einsum("pki,pi->pk", rel, e1), np.einsum("pki,pi->pk", rel, e2)], axis=2)
+    return np.stack([e1, e2, normal], axis=1), uv
 
 
 def _polar_subtriangles(uv, n_gauss):
     """Angular Gauss nodes, weights and radial extents around the origin.
 
-    uv: (3, 2) in-plane vertices of a triangle containing the origin.
-    Yields per sub-triangle the angles phi_k, quadrature weights, and the
-    distance R(phi_k) to the opposite edge.
+    uv: (P, 3, 2) in-plane vertices of triangles containing the origin.
+    Returns, per panel and centroid-vertex sub-triangle, the angles phi_k,
+    quadrature weights, and the distance R(phi_k) to the opposite edge, each
+    shaped (P, 3, n_gauss).
     """
     x, w = _leggauss(n_gauss)
-    for i in range(3):
-        a, b = uv[i], uv[(i + 1) % 3]
-        ta = math.atan2(a[1], a[0])
-        tb = math.atan2(b[1], b[0])
-        if tb <= ta:
-            tb += 2.0 * math.pi
-        phi = 0.5 * (tb - ta) * x + 0.5 * (tb + ta)
-        wphi = 0.5 * (tb - ta) * w
-        edge = b - a
-        n_e = np.array([edge[1], -edge[0]])
-        n_e /= np.linalg.norm(n_e)
-        d_e = float(n_e @ a)
-        if d_e < 0.0:
-            n_e, d_e = -n_e, -d_e
-        cosfac = np.cos(phi) * n_e[0] + np.sin(phi) * n_e[1]
-        yield phi, wphi, d_e / cosfac
+    a, b = uv, np.roll(uv, -1, axis=1)
+    ta = np.arctan2(a[..., 1], a[..., 0])
+    tb = np.arctan2(b[..., 1], b[..., 0])
+    tb = np.where(tb <= ta, tb + 2.0 * math.pi, tb)
+    half = (0.5 * (tb - ta))[..., None]
+    phi = half * x + (0.5 * (tb + ta))[..., None]
+    wphi = half * w
+    edge = b - a
+    n_e = np.stack([edge[..., 1], -edge[..., 0]], axis=-1)
+    n_e /= np.linalg.norm(n_e, axis=-1, keepdims=True)
+    d_e = np.einsum("psi,psi->ps", n_e, a)
+    n_e *= np.where(d_e < 0.0, -1.0, 1.0)[..., None]
+    cosfac = np.cos(phi) * n_e[..., 0, None] + np.sin(phi) * n_e[..., 1, None]
+    return phi, wphi, np.abs(d_e)[..., None] / cosfac
+
+
+def _over_blocks(block_fn, vertices, n_gauss):
+    """block_fn over (3, 3) or (P, 3, 3) vertices, SINGULAR_CHUNK panels at a time."""
+    v = np.asarray(vertices, dtype=float)
+    flat = v.reshape(-1, 3, 3)
+    out = np.concatenate([block_fn(flat[lo:lo + SINGULAR_CHUNK], n_gauss)
+                          for lo in range(0, len(flat), SINGULAR_CHUNK)])
+    return out[0] if v.ndim == 2 else out
+
+
+def _laplace_block(v, n_gauss):
+    _, uv = _local_frame(v)
+    _, wphi, R = _polar_subtriangles(uv, n_gauss)
+    return np.einsum("psk,psk->p", wphi, R) / FOUR_PI
+
+
+def _stokeslet_block(v, n_gauss):
+    frame, uv = _local_frame(v)
+    phi, wphi, R = _polar_subtriangles(uv, n_gauss)
+    wr = wphi * R
+    u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    # flat panel: r has no normal component, so the n-n entry stays I * scalar
+    local = wr.sum(axis=(1, 2))[:, None, None] * np.eye(3)
+    local[:, :2, :2] += np.einsum("psk,pski,pskj->pij", wr, u, u)
+    return np.einsum("pai,pab,pbj->pij", frame, local, frame)
 
 
 def integrate_singular_laplace(vertices, n_gauss=32):
-    """Integral of 1/(4 pi r) over a triangle, singularity at the centroid.
+    """Integral of 1/(4 pi r) over triangles, singularity at each centroid.
 
-    Radial integration is exact; the angular factor R(phi) is integrated by
+    vertices: (3, 3) or (P, 3, 3); returns a float or (P,).  Radial
+    integration is exact; the angular factor R(phi) is integrated by
     Gauss-Legendre on three centroid-vertex sub-triangles.
     """
-    _, _, uv = _local_frame(vertices)
-    total = 0.0
-    for _, wphi, R in _polar_subtriangles(uv, n_gauss):
-        total += float(wphi @ R)
-    return total / FOUR_PI
+    return _over_blocks(_laplace_block, vertices, n_gauss)
 
 
 def integrate_singular_stokeslet(vertices, n_gauss=32):
     """(3, 3) integral of the bare stokeslet over its own triangle.
 
-    In the panel plane G = (I + u u^T)/r with u the in-plane unit direction,
-    so the radial integral is R(phi) (I + u u^T); the result is rotated back
-    to global axes.
+    vertices: (3, 3) or (P, 3, 3); returns (3, 3) or (P, 3, 3).  In the panel
+    plane G = (I + u u^T)/r with u the in-plane unit direction, so the radial
+    integral is R(phi) (I + u u^T); the result is rotated back to global axes.
     """
-    _, frame, uv = _local_frame(vertices)
-    block2 = np.zeros((2, 2))
-    scalar = 0.0
-    for phi, wphi, R in _polar_subtriangles(uv, n_gauss):
-        c, s = np.cos(phi), np.sin(phi)
-        scalar += float(wphi @ R)
-        block2[0, 0] += float(wphi @ (R * c * c))
-        block2[0, 1] += float(wphi @ (R * c * s))
-        block2[1, 1] += float(wphi @ (R * s * s))
-    block2[1, 0] = block2[0, 1]
-    local = np.eye(3) * scalar
-    local[:2, :2] += block2
-    # flat panel: r has no normal component, so the n-n entry stays I * scalar
-    return frame.T @ local @ frame
+    return _over_blocks(_stokeslet_block, vertices, n_gauss)

@@ -97,6 +97,9 @@ def gmres(apply_fn, b, schedule=None, tol=1e-5, max_iter=100, callback=None):
         p = schedule.order(residual, prev_p)
         prev_p = p
         w = apply_fn(basis[k], p)
+        if not np.all(np.isfinite(w)):
+            raise FloatingPointError(
+                f"GMRES iteration {k + 1} (p={p}): the mat-vec returned non-finite values")
         for j in range(k + 1):
             H[j, k] = basis[j] @ w
             w = w - H[j, k] * basis[j]
@@ -110,6 +113,10 @@ def gmres(apply_fn, b, schedule=None, tol=1e-5, max_iter=100, callback=None):
             H[j + 1, k] = -sn[j] * H[j, k] + cs[j] * H[j + 1, k]
             H[j, k] = h1
         denom = math.hypot(H[k, k], H[k + 1, k])
+        if denom == 0.0:
+            raise ZeroDivisionError(
+                f"GMRES breakdown at iteration {k + 1} (p={p}): the new Krylov direction "
+                "is zero after orthogonalisation, so the least-squares problem is singular")
         cs[k] = H[k, k] / denom
         sn[k] = H[k + 1, k] / denom
         H[k, k] = denom

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fmmbem import harmonics as H
-from fmmbem import fmm
 from fmmbem.kernels import FOUR_PI, direct_sum, KernelKind
 
 RNG = np.random.default_rng(7)
@@ -24,8 +23,8 @@ def test_expansion_identity_converges():
     ref = direct_sum(KernelKind.LAPLACE_SINGLE, src, q, tgt)
     errs = []
     for p in (4, 8, 12):
-        exp = fmm.p2m(src, q, np.zeros(3), p)
-        val = fmm.m2p(exp, tgt) / FOUR_PI
+        exp = H.particle_to_multipole(src, q, p)
+        val = H.multipole_to_point(exp, tgt, p) / FOUR_PI
         errs.append(np.max(np.abs(val - ref) / np.abs(ref)))
     assert errs[0] < 1e-2
     assert errs[1] < errs[0] / 10
@@ -39,9 +38,9 @@ def test_dipole_expansion_matches_double_layer():
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     tgt = np.array([[2.2, -0.1, 0.5]])
     ref = direct_sum(KernelKind.LAPLACE_DOUBLE, src, q, tgt, normals=normals)
-    exp = fmm.p2m(src, np.zeros(len(src)), np.zeros(3), 14,
-                  dipoles=q[:, None] * normals)
-    val = fmm.m2p(exp, tgt) / FOUR_PI
+    exp = H.particle_to_multipole(src, np.zeros(len(src)), 14,
+                                  dipoles=q[:, None] * normals)
+    val = H.multipole_to_point(exp, tgt, 14) / FOUR_PI
     assert abs(val[0] - ref[0]) < 1e-9 * abs(ref[0]) + 1e-14
 
 
@@ -51,19 +50,22 @@ def test_m2m_is_exact():
     q = RNG.uniform(-1.0, 1.0, size=len(src))
     p = 8
     shifted_center = np.array([0.3, -0.2, 0.1])
-    direct = fmm.p2m(src, q, shifted_center, p)
-    via_shift = fmm.m2m(fmm.p2m(src, q, np.zeros(3), p), shifted_center)
-    np.testing.assert_allclose(via_shift.coeffs, direct.coeffs, atol=1e-12)
+    direct = H.particle_to_multipole(src - shifted_center, q, p)
+    T = H.translation_matrix("m2m", -shifted_center, p)
+    via_shift = H.particle_to_multipole(src, q, p) @ T.T
+    np.testing.assert_allclose(via_shift, direct, atol=1e-12)
 
 
 def test_l2l_is_exact():
     src = _cluster()
     q = RNG.uniform(-1.0, 1.0, size=len(src))
     p = 8
-    local = fmm.m2l(fmm.p2m(src, q, np.zeros(3), p), np.array([3.0, 0.0, 0.0]))
-    moved = fmm.l2l(local, np.array([3.1, 0.05, -0.1]))
+    center, moved_center = np.array([3.0, 0.0, 0.0]), np.array([3.1, 0.05, -0.1])
+    local = H.particle_to_multipole(src, q, p) @ H.translation_matrix("m2l", center, p).T
+    moved = local @ H.translation_matrix("l2l", moved_center - center, p).T
     tgt = np.array([[3.15, 0.1, -0.05]])
-    np.testing.assert_allclose(fmm.l2p(moved, tgt), fmm.l2p(local, tgt), rtol=1e-12)
+    np.testing.assert_allclose(H.local_to_point(moved, tgt - moved_center, p),
+                               H.local_to_point(local, tgt - center, p), rtol=1e-12)
 
 
 def test_m2l_converges():
@@ -73,8 +75,9 @@ def test_m2l_converges():
     ref = direct_sum(KernelKind.LAPLACE_SINGLE, src, q, tgt)
     errs = []
     for p in (4, 10):
-        local = fmm.m2l(fmm.p2m(src, q, np.zeros(3), p), np.array([3.0, 0.0, 0.0]))
-        val = fmm.l2p(local, tgt) / FOUR_PI
+        center = np.array([3.0, 0.0, 0.0])
+        local = H.particle_to_multipole(src, q, p) @ H.translation_matrix("m2l", center, p).T
+        val = H.local_to_point(local, tgt - center, p) / FOUR_PI
         errs.append(np.max(np.abs(val - ref) / np.abs(ref)))
     assert errs[0] < 1e-2
     assert errs[1] < 1e-6
@@ -85,18 +88,25 @@ def test_gradients_match_finite_differences(which):
     src = _cluster()
     q = RNG.uniform(-1.0, 1.0, size=len(src))
     p = 10
-    exp = fmm.p2m(src, q, np.zeros(3), p)
+    exp = H.particle_to_multipole(src, q, p)
     if which == "local":
-        exp = fmm.m2l(exp, np.array([2.5, 0.1, 0.0]))
-        evaluate, tgt = fmm.l2p, np.array([[2.6, 0.2, -0.1]])
+        center = np.array([2.5, 0.1, 0.0])
+        exp = exp @ H.translation_matrix("m2l", center, p).T
+        tgt = np.array([[2.6, 0.2, -0.1]])
+
+        def evaluate(x, want_gradient=False):
+            return H.local_to_point(exp, x - center, p, want_gradient)
     else:
-        evaluate, tgt = fmm.m2p, np.array([[2.0, 0.4, -0.3]])
-    _, grad = evaluate(exp, tgt, want_gradient=True)
+        tgt = np.array([[2.0, 0.4, -0.3]])
+
+        def evaluate(x, want_gradient=False):
+            return H.multipole_to_point(exp, x, p, want_gradient)
+    _, grad = evaluate(tgt, want_gradient=True)
     h = 1e-6
     for axis in range(3):
         step = np.zeros(3)
         step[axis] = h
-        fd = (evaluate(exp, tgt + step)[0] - evaluate(exp, tgt - step)[0]) / (2 * h)
+        fd = (evaluate(tgt + step)[0] - evaluate(tgt - step)[0]) / (2 * h)
         assert abs(grad[0, axis] - fd) < 1e-6 * max(1.0, abs(fd))
 
 
@@ -117,3 +127,99 @@ def test_regular_conjugate_symmetry():
             a = reg[:, H.flat_index(n, -m)]
             b = (-1.0) ** m * np.conj(reg[:, H.flat_index(n, m)])
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def _unpack(packed, p):
+    """Full complex coefficients from the packed real layout."""
+    out = np.zeros(packed.shape[:-1] + (H.num_coeffs(p),), dtype=complex)
+    for n in range(p + 1):
+        out[..., H.flat_index(n, 0)] = packed[..., H.flat_index(n, 0)]
+        for m in range(1, n + 1):
+            c = packed[..., H.flat_index(n, m)] + 1j * packed[..., H.flat_index(n, -m)]
+            out[..., H.flat_index(n, m)] = c
+            out[..., H.flat_index(n, -m)] = (-1) ** m * np.conj(c)
+    return out
+
+
+def _complex_gradient(full, p):
+    """(dx, dy, dz) of complex R_n^m arrays by the shift rules."""
+    grads = [np.zeros_like(full) for _ in range(3)]
+    for n in range(1, p + 1):
+        for m in range(-n, n + 1):
+            i = H.flat_index(n, m)
+            up = full[..., H.flat_index(n - 1, m + 1)] if abs(m + 1) <= n - 1 else 0.0
+            down = -full[..., H.flat_index(n - 1, m - 1)] if abs(m - 1) <= n - 1 else 0.0
+            grads[0][..., i] = 0.5 * (up + down)
+            grads[1][..., i] = (up - down) / 2j
+            grads[2][..., i] = full[..., H.flat_index(n - 1, m)] if abs(m) <= n - 1 else 0.0
+    return grads
+
+
+def _assert_close(value, ref):
+    ref = np.asarray(ref)
+    np.testing.assert_allclose(value, ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 16, 18])
+def test_packed_forms_match_complex_definition(p):
+    """Every packed translation reproduces the complex sums of regular/irregular."""
+    rng = np.random.default_rng(p)
+    src = _cluster(30, 0.4)
+    q = rng.uniform(-1.0, 1.0, size=len(src))
+    dip = rng.normal(size=(len(src), 3))
+
+    def complex_p2m(rel):
+        R = H.regular(rel, p)
+        gx, gy, gz = _complex_gradient(R, p)
+        return q @ R + dip[:, 0] @ gx + dip[:, 1] @ gy + dip[:, 2] @ gz
+
+    M = H.particle_to_multipole(src, q, p, dipoles=dip)
+    Mc = complex_p2m(src)
+    _assert_close(_unpack(M, p), Mc)
+
+    parent = np.array([0.2, -0.15, 0.1])
+    moved = M @ H.translation_matrix("m2m", -parent, p).T
+    _assert_close(_unpack(moved, p), complex_p2m(src - parent))
+
+    D = np.array([2.4, 0.7, -1.1])
+    L = M @ H.translation_matrix("m2l", D, p).T
+    irr = H.irregular(D, 2 * p)[0]
+    Lc = np.zeros(H.num_coeffs(p), dtype=complex)
+    for j in range(p + 1):
+        for k in range(-j, j + 1):
+            Lc[H.flat_index(j, k)] = (-1) ** j * sum(
+                Mc[H.flat_index(n, m)] * np.conj(irr[H.flat_index(n + j, m + k)])
+                for n in range(p + 1) for m in range(-n, n + 1))
+    _assert_close(_unpack(L, p), Lc)
+
+    child = np.array([-0.1, 0.05, 0.2])
+    shifted = L @ H.translation_matrix("l2l", child, p).T
+    reg = H.regular(child, p)[0]
+    Lc2 = np.zeros_like(Lc)
+    for n in range(p + 1):
+        for m in range(-n, n + 1):
+            Lc2[H.flat_index(n, m)] = sum(
+                reg[H.flat_index(j - n, k - m)] * Lc[H.flat_index(j, k)]
+                for j in range(n, p + 1) for k in range(-j, j + 1) if abs(k - m) <= j - n)
+    _assert_close(_unpack(shifted, p), Lc2)
+
+    x = 0.3 * rng.normal(size=(6, 3))
+    pot, grad = H.local_to_point(L, x, p, want_gradient=True)
+    R = H.regular(x, p)
+    _assert_close(pot, np.real(R @ Lc))
+    _assert_close(grad, np.stack([np.real(g @ Lc) for g in _complex_gradient(R, p)], axis=-1))
+
+
+@pytest.mark.parametrize("kind", ["m2m", "l2l", "m2l"])
+def test_reflected_offsets_share_one_operator(kind):
+    """T(reflected d) = diag(s) T(d) diag(s) for all eight axis reflections."""
+    p = 7
+    d = np.array([2.2, 1.0, 3.2]) if kind == "m2l" else np.array([0.3, 0.2, 0.25])
+    base = H.translation_matrix(kind, d, p)
+    signs = H.reflection_signs(p)
+    for flip in range(8):
+        mirror = np.array([-1.0 if flip >> a & 1 else 1.0 for a in range(3)])
+        T = H.translation_matrix(kind, mirror * d, p)
+        np.testing.assert_allclose(T, signs[flip][:, None] * base * signs[flip],
+                                   rtol=1e-13, atol=1e-13 * np.abs(base).max())

@@ -6,6 +6,7 @@ from scipy.spatial.transform import Rotation
 
 from fmmbem import quadrature as Q
 from fmmbem.kernels import FOUR_PI, KernelKind
+from fmmbem.mesh import make_sphere
 
 TRI = np.array([[0.0, 0.0, 0.0], [1.1, 0.1, 0.0], [0.3, 0.9, 0.0]])
 # frozen independent value of the self integral of 1/(4 pi r) over TRI
@@ -97,3 +98,13 @@ def test_singular_stokeslet_rotation_covariance():
     rotated = Q.integrate_singular_stokeslet(rot.apply(TRI))
     R = rot.as_matrix()
     np.testing.assert_allclose(rotated, R @ base @ R.T, rtol=1e-12, atol=1e-14)
+
+
+def test_singular_integrals_batch_over_panels():
+    """One call over all panels equals one call per panel."""
+    pv = make_sphere(3).panel_vertices
+    for integrate in (Q.integrate_singular_laplace, Q.integrate_singular_stokeslet):
+        batched = integrate(pv)
+        single = np.array([integrate(tri) for tri in pv])
+        assert batched.shape == single.shape == (len(pv),) + np.shape(single[0])
+        np.testing.assert_allclose(batched, single, rtol=1e-14, atol=1e-14 * np.abs(single).max())

@@ -114,3 +114,27 @@ def test_save_history(tmp_path):
 def test_relax_eps_rejects_bad_eta():
     with pytest.raises(ValueError):
         solver.relax_eps(0.5, 0.0)
+
+
+def test_gmres_raises_on_breakdown():
+    """A mat-vec that maps b to zero leaves the Hessenberg column empty."""
+    with pytest.raises(ZeroDivisionError, match=r"iteration 1 \(p=7\)"):
+        solver.gmres(lambda x, p: np.zeros_like(x), np.ones(4),
+                     schedule=solver.RelaxationSchedule(p_initial=7, relaxed=False))
+
+
+def test_gmres_raises_on_nonfinite_matvec():
+    rng = np.random.default_rng(5)
+    A = np.eye(6) + 0.3 * rng.normal(size=(6, 6))
+    calls = []
+
+    def apply_fn(x, p):
+        calls.append(p)
+        y = A @ x
+        if len(calls) == 2:
+            y[2] = np.inf
+        return y
+
+    sched = solver.RelaxationSchedule(p_initial=9, relaxed=False)
+    with pytest.raises(FloatingPointError, match=r"iteration 2 \(p=9\).*non-finite"):
+        solver.gmres(apply_fn, rng.normal(size=6), schedule=sched, tol=1e-12, max_iter=6)
