@@ -12,10 +12,14 @@ The operator action is evaluated as
       of geometrically close panels by fine-rule or singular integrals.
 
 Only the expansion part depends on p, so lowering the order mid-solve leaves
-all near-field arithmetic untouched.
+all near-field arithmetic untouched.  The right-hand side goes through the
+same pipeline at a fixed high order (p = 18); chunked direct sums over all
+Gauss points (``dense_apply``, ``assemble_rhs(dense=True)``) are the exact
+reference for both.
 """
 
 import enum
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +56,10 @@ class BemOperator:
 
     def __init__(self, mesh, formulation, theta=0.5, n_crit=126, mu=1e-3,
                  near_factor=2.0, n_gauss_singular=32):
+        if not 0.0 < theta < 1.0:
+            raise ValueError(f"theta must be in (0, 1), got {theta}")
+        if n_crit < 1:
+            raise ValueError(f"n_crit must be >= 1, got {n_crit}")
         self.mesh = mesh
         self.formulation = Formulation(formulation)
         self.mu = mu
@@ -100,8 +108,10 @@ class BemOperator:
         cutoff = self.near_factor * np.sqrt(2.0 * self.areas)
         tree = cKDTree(self.centroids)
         hits = tree.query_ball_point(self.centroids, cutoff, return_sorted=True)
-        pairs = [(i, j) for j, near in enumerate(hits) for i in near]
-        return np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        lengths = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+        targets = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp,
+                              count=lengths.sum())
+        return np.column_stack([targets, np.repeat(np.arange(len(hits)), lengths)])
 
     @staticmethod
     def _pair_rule_sums(kind, tgt, pts, wts, normals):
@@ -254,16 +264,15 @@ class BemOperator:
         g = self._layer_apply(KernelKind.STOKESLET, x, p, self._c_sys, dense)
         return g / (EIGHT_PI * self.mu)
 
-    def assemble_rhs(self, boundary_data, p=18, dense=None):
+    def assemble_rhs(self, boundary_data, p=18, dense=False):
         """Right-hand side from the known boundary data.
 
         Laplace first kind: data is the surface potential phi per panel.
         Laplace second kind: data is the normal derivative q per panel.
         Stokes: data is the (P, 3) surface velocity.
-        dense defaults to True for small systems (exact assembly).
+        The layer potential goes through the FMM at order p; dense=True
+        replaces it by direct sums, the exact reference.
         """
-        if dense is None:
-            dense = self.shape[0] <= 8192
         f = self.formulation
         if f is Formulation.LAPLACE_FIRST:
             phi = np.asarray(boundary_data, dtype=float)

@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from . import harmonics as H
-from .kernels import FOUR_PI, KernelKind, as_channels, from_channels, laplace_sum
+from .kernels import (FOUR_PI, KernelKind, as_channels, from_channels, laplace_sum,
+                      pair_geometry)
 from .octree import build_tree, bounding_cube
 
 # Cell size entering the acceptance criterion, in units of the cube half
@@ -144,6 +145,10 @@ class FmmPlan:
         for t, cells in self._p2p_by_leaf.items():
             idx = np.concatenate([self._src_bodies(s) for s in cells])
             self._p2p_sources[t] = np.sort(idx)
+        # the density-independent part of each P2P leaf's direct sum, in
+        # p2p_items order: O(targets) memory
+        self._p2p_geometry = [pair_geometry(self.tgt_tree.points[t], self.src_tree.points[s])
+                              for t, s in self.p2p_items()]
         self._igrid = (None, None)   # (p, signed M2L grid) of the last order used
 
     def _src_bodies(self, cell):
@@ -200,11 +205,20 @@ class FmmPlan:
         return from_channels(pot, grad, single)
 
     def _upward(self, q, dip, p, C, size):
-        """P2M at the leaves, then M2M to the root.
+        """P2M at the leaves, then M2M to the root."""
+        M = np.zeros((self.src_tree.n_cells, C, size))
+        # the P2M temporaries are freed on return, before M2M builds its maps
+        self._leaf_multipoles(q, dip, p, C, M)
+        self._vertical_sweep(self.src_tree, M, p, upward=True)
+        return M
 
-        Each leaf forms [q; d_x; d_y; d_z] @ R with one GEMM; the dipole
-        moments become multipole coefficients through the adjoint gradient
-        shift, applied to all leaves at once.
+    def _leaf_multipoles(self, q, dip, p, C, M):
+        """Add each source leaf's multipole coefficients to its row of M.
+
+        Each leaf block forms [q; d_x; d_y; d_z] @ R with one GEMM; the
+        dipole moments become multipole coefficients through the adjoint
+        gradient shift, applied per block so that no array of every leaf's
+        moments is ever held.
         """
         tree = self.src_tree
         rows = [] if q is None else [q[:, tree.perm]]
@@ -212,20 +226,16 @@ class FmmPlan:
             # (C, 3, N): the three moment rows of a channel are adjacent
             rows.append(np.moveaxis(dip[:, tree.perm], 2, 1).reshape(3 * C, -1))
         weights = np.vstack(rows)
-        raw = np.zeros((len(tree.leaves), len(weights), size))
 
         def visit(i, s, e, R):
-            raw[i] += weights[:, s:e] @ R
+            raw = weights[:, s:e] @ R
+            cell = tree.leaves[i]
+            if q is not None:
+                M[cell] += raw[:C]
+            if dip is not None:
+                M[cell] += H.dipole_shift(raw[-3 * C:].reshape(C, 3, -1), p)
 
         self._leaf_blocks(tree, p, visit)
-        leaf_M = 0.0 if q is None else raw[:, :C]
-        if dip is not None:
-            moments = raw[:, -3 * C:].reshape(len(tree.leaves), C, 3, size)
-            leaf_M = leaf_M + H.dipole_shift(moments, p)
-        M = np.zeros((tree.n_cells, C, size))
-        M[tree.leaves] = leaf_M
-        self._vertical_sweep(tree, M, p, upward=True)
-        return M
 
     @staticmethod
     def _leaf_blocks(tree, p, visit):
@@ -313,8 +323,8 @@ class FmmPlan:
         nt = len(self.tgt_tree.points)
         pot = np.zeros((C, nt))
         grad = np.zeros((C, nt, 3)) if want_gradient else None
-        for tidx, sidx in self.p2p_items():
-            v, g = laplace_sum(self.tgt_tree.points[tidx], self.src_tree.points[sidx],
+        for (tidx, sidx), geo in zip(self.p2p_items(), self._p2p_geometry):
+            v, g = laplace_sum(geo, self.src_tree.points[sidx],
                                None if q is None else q[:, sidx],
                                None if dip is None else dip[:, sidx], want_gradient)
             pot[:, tidx] += v

@@ -6,6 +6,7 @@ boundary-integral formulation are applied by the operator layer).
 """
 
 import enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,37 +81,78 @@ def from_channels(pot, grad, single):
     return pot if grad is None else (pot, grad)
 
 
+class PairGeometry(NamedTuple):
+    """The part of a :func:`laplace_sum` that does not depend on the densities.
+
+    All coordinates are relative to ``origin``, the mean of the targets:
+    centring keeps the sum translation invariant and the cancellation in the
+    expanded form of d^2 small.  ``xa`` holds the augmented centred targets
+    [x, 1, |x|^2], so that d^2 = xa @ [-2y, |y|^2, 1].T.  The expanded form
+    loses relative accuracy for tiny separations, so the pairs within a
+    cutoff, at flat indices ``close`` of the (Nt, Ns) pair matrix, carry
+    their d^2 from differences in ``close_d2``, infinite where target and
+    source coincide.
+    """
+
+    origin: np.ndarray     # (3,)
+    xa: np.ndarray         # (Nt, 5)
+    close: np.ndarray      # (K,) flat pair indices
+    close_d2: np.ndarray   # (K,)
+
+
+def _augmented(z, scale, ones_first):
+    """Rows [scale * z, 1, |z|^2] (ones_first) or [scale * z, |z|^2, 1]."""
+    out = np.empty((len(z), 5))
+    np.multiply(z, scale, out=out[:, :3])
+    out[:, 4 if ones_first else 3] = np.einsum("ni,ni->n", z, z)
+    out[:, 3 if ones_first else 4] = 1.0
+    return out
+
+
+def _find_geometry(targets, sources):
+    """PairGeometry of targets against sources, the centred sources and the
+    unpatched d^2 the close pairs were found in."""
+    origin = np.mean(targets, axis=0)
+    xa = _augmented(np.asarray(targets, dtype=float) - origin, 1.0, ones_first=True)
+    y = np.asarray(sources, dtype=float) - origin
+    ya = _augmented(y, -2.0, ones_first=False)
+    d2 = xa @ ya.T
+    # the cutoff uses the largest norms, so it is never tighter than a
+    # per-pair one
+    cutoff = 1e-10 * (np.max(xa[:, 4], initial=0.0) + np.max(ya[:, 3], initial=0.0))
+    close = np.flatnonzero(d2 <= cutoff)
+    ti, si = np.divmod(close, len(y))
+    diff = xa[ti, :3] - y[si]
+    dc = np.einsum("ki,ki->k", diff, diff)
+    dc[dc == 0.0] = np.inf
+    return PairGeometry(origin, xa, close, dc), y, d2
+
+
+def pair_geometry(targets, sources):
+    """The :class:`PairGeometry` of targets (Nt, 3) against sources (Ns, 3)."""
+    return _find_geometry(targets, sources)[0]
+
+
 def laplace_sum(targets, sources, charges=None, dipoles=None, want_gradient=False):
     """Bare sums of q / r + d . (x - y) / r^3, r = |x - y|, over all pairs.
 
-    targets (Nt, 3), sources (Ns, 3); charges (C, Ns) and dipoles (C, Ns, 3),
-    either may be None, are C channels sharing one geometry.  Returns (C, Nt)
-    potentials and (C, Nt, 3) gradients at the targets, the latter None
-    unless want_gradient.  Coincident pairs contribute exactly zero.
+    targets (Nt, 3), or their :func:`pair_geometry` against these sources,
+    which skips the search for close pairs; sources (Ns, 3); charges (C, Ns)
+    and dipoles (C, Ns, 3), either may be None, are C channels sharing one
+    geometry.  Returns (C, Nt) potentials and (C, Nt, 3) gradients at the
+    targets, the latter None unless want_gradient.  Coincident pairs
+    contribute exactly zero.
     """
-    # centring on the targets keeps the result translation invariant and the
-    # expanded-form cancellation small
-    origin = np.mean(targets, axis=0)
-    x = np.asarray(targets, dtype=float) - origin
-    y = np.asarray(sources, dtype=float) - origin
-    x2 = np.einsum("ti,ti->t", x, x)
-    y2 = np.einsum("si,si->s", y, y)
-    d2 = x @ y.T
-    d2 *= -2.0
-    d2 += x2[:, None]
-    d2 += y2[None, :]
-    # the expanded form loses relative accuracy for tiny separations;
-    # recompute those (and exact coincidences) from differences.  The cutoff
-    # uses the largest norms, so it is never tighter than a per-pair one.
-    close = d2 <= 1e-10 * (np.max(x2, initial=0.0) + np.max(y2, initial=0.0))
-    if np.any(close):
-        ti, si = np.nonzero(close)
-        diff = x[ti] - y[si]
-        dc = np.einsum("ki,ki->k", diff, diff)
-        dc[dc == 0.0] = np.inf
-        d2[close] = dc
-    inv = np.sqrt(d2, out=d2)
-    np.divide(1.0, inv, out=inv)
+    if isinstance(targets, PairGeometry):
+        geo = targets
+        y = np.asarray(sources, dtype=float) - geo.origin
+        d2 = geo.xa @ _augmented(y, -2.0, ones_first=False).T
+    else:
+        geo, y, d2 = _find_geometry(targets, sources)
+    np.put(d2, geo.close, geo.close_d2)
+    x = geo.xa[:, :3]
+    inv2 = np.divide(1.0, d2, out=d2)
+    inv = np.sqrt(inv2)
     nt, ns = inv.shape
 
     def gemm(rows, kern):
@@ -129,21 +171,19 @@ def laplace_sum(targets, sources, charges=None, dipoles=None, want_gradient=Fals
         pot += gemm(charges, inv)
     if not want_gradient and dipoles is None:
         return pot, grad
-    inv3 = inv * inv
-    inv3 *= inv
+    inv3 = inv * inv2
     if charges is not None and want_gradient:
         grad -= separation_sum(charges, inv3)
     if dipoles is not None:
         # d . (x - y) = xh . m with xh = (x, 1) and m = (d, -d . y)
         m = np.concatenate([np.moveaxis(dipoles, -1, 0),
                             -np.einsum("csi,si->cs", dipoles, y)[None]])
-        xh = np.hstack([x, np.ones((nt, 1))])
+        xh = geo.xa[:, :4]
         b = gemm(m, inv3)
         pot += np.einsum("kct,tk->ct", b, xh)
         if want_gradient:
             # grad of d . r / r^3 is d / r^3 - 3 (d . r) r / r^5
-            inv5 = inv3 * inv
-            inv5 *= inv
+            inv5 = inv3 * inv2
             grad += np.moveaxis(b[:3], 0, -1)
             grad -= 3.0 * np.einsum("kctj,tk->ctj", separation_sum(m, inv5), xh)
     return pot, grad

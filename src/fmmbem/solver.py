@@ -40,6 +40,11 @@ class RelaxationSchedule:
     eta: float = 1e-5
     relaxed: bool = True
 
+    def __post_init__(self):
+        if not 0 <= self.p_min <= self.p_initial:
+            raise ValueError(f"need 0 <= p_min <= p_initial, got p_min={self.p_min}, "
+                             f"p_initial={self.p_initial}")
+
     def order(self, residual, previous_p):
         if not self.relaxed:
             return self.p_initial

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from fmmbem import bemop
 from fmmbem import mesh as M
 from fmmbem import solver
 from fmmbem.bemop import BemOperator, Formulation
@@ -96,3 +98,45 @@ def test_near_corrections_translation_invariant():
     x = rng.uniform(-1.0, 1.0, size=op0.n_panels)
     np.testing.assert_allclose(op0.dense_apply(x), op1.dense_apply(x),
                                rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("formulation, limit", [
+    (Formulation.LAPLACE_FIRST, 1e-7),
+    (Formulation.LAPLACE_SECOND, 1e-7),
+    # the stresslet runs through seven gradient channels
+    (Formulation.STOKES, 1e-6),
+])
+def test_fmm_rhs_matches_dense_rhs(sphere3, formulation, limit):
+    """The default p = 18 FMM right-hand side against the exact direct sums
+    (measured: 1.5e-8, 1.0e-8 and 2.4e-7)."""
+    op = BemOperator(sphere3, formulation)
+    rng = np.random.default_rng(3)
+    shape = (op.n_panels, 3) if formulation is Formulation.STOKES else op.n_panels
+    data = rng.uniform(-1.0, 1.0, size=shape)
+    fmm = op.assemble_rhs(data)
+    dense = op.assemble_rhs(data, dense=True)
+    assert np.linalg.norm(fmm - dense) / np.linalg.norm(dense) < limit
+
+
+def test_near_pairs_match_brute_force():
+    """Target i is near source panel j when their centroids lie within j's cutoff."""
+    op = BemOperator(M.make_sphere(2), Formulation.LAPLACE_FIRST)
+    cutoff = op.near_factor * np.sqrt(2.0 * op.areas)
+    # rows (j, i) in ascending order, the order the search returns
+    ref = np.argwhere(cdist(op.centroids, op.centroids).T <= cutoff[:, None])[:, ::-1]
+    pairs = op._near_pairs
+    assert pairs.dtype == np.intp
+    np.testing.assert_array_equal(pairs, ref)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(theta=0.0), "theta"), (dict(theta=1.0), "theta"), (dict(theta=-0.5), "theta"),
+    (dict(n_crit=0), "n_crit"),
+])
+def test_operator_rejects_bad_tree_parameters(sphere3, monkeypatch, kwargs, match):
+    def no_tree(*args, **kw):
+        raise AssertionError("a tree was built before the parameters were checked")
+
+    monkeypatch.setattr(bemop, "FmmPlan", no_tree)
+    with pytest.raises(ValueError, match=match):
+        BemOperator(sphere3, Formulation.LAPLACE_FIRST, **kwargs)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fmmbem import harmonics as H
 from fmmbem.fmm import FmmPlan, dual_traversal, evaluate, multipole_error_bound, required_p
-from fmmbem.kernels import FOUR_PI, KernelKind, direct_sum
+from fmmbem.kernels import FOUR_PI, KernelKind, direct_sum, laplace_sum
 from fmmbem.octree import build_tree
 
 RNG = np.random.default_rng(21)
@@ -129,3 +130,66 @@ def test_plan_reuse_across_orders():
 def test_error_bound_requires_separation():
     with pytest.raises(ValueError):
         multipole_error_bound(1.0, 1.0, 0.5, 4)
+
+
+def _near_field_by_leaf(plan, q, dip):
+    """P2P through laplace_sum with its in-call close-pair search, leaf by leaf."""
+    pot = np.zeros((len(q), len(plan.tgt_tree.points)))
+    grad = np.zeros(pot.shape + (3,))
+    for tidx, sidx in plan.p2p_items():
+        v, g = laplace_sum(plan.tgt_tree.points[tidx], plan.src_tree.points[sidx],
+                           q[:, sidx], dip[:, sidx], want_gradient=True)
+        pot[:, tidx] += v
+        grad[:, tidx] += g
+    return pot, grad
+
+
+@given(seed=st.integers(0, 2 ** 16), n_src=st.integers(1, 300), n_tgt=st.integers(1, 120),
+       n_exact=st.integers(0, 20), n_offset=st.integers(0, 20), n_crit=st.integers(4, 40))
+@settings(max_examples=30, deadline=None)
+def test_near_field_matches_in_call_search(seed, n_src, n_tgt, n_exact, n_offset, n_crit):
+    """The plan's cached close pairs give the sums of a fresh search, also
+    for sources that copy a target exactly or sit 1e-9 from one."""
+    rng = np.random.default_rng(seed)
+    tgt = rng.uniform(0.0, 1.0, size=(n_tgt, 3))
+    exact = tgt[rng.integers(0, n_tgt, size=n_exact)]
+    offset = tgt[rng.integers(0, n_tgt, size=n_offset)] + 1e-9 * rng.normal(size=(n_offset, 3))
+    src = np.vstack([rng.uniform(0.0, 1.0, size=(n_src, 3)), exact, offset])
+    q = rng.uniform(-1.0, 1.0, size=(2, len(src)))
+    dip = rng.uniform(-1.0, 1.0, size=(2, len(src), 3))
+    plan = FmmPlan(src, tgt, n_crit=n_crit)
+    pot, grad = plan.near_field(charges=q, dipoles=dip, want_gradient=True)
+    ref_pot, ref_grad = _near_field_by_leaf(plan, q, dip)
+    assert np.all(np.isfinite(pot)) and np.all(np.isfinite(grad))
+    assert np.abs(pot - ref_pot).max() <= 1e-13 * np.abs(ref_pot).max()
+    assert np.abs(grad - ref_grad).max() <= 1e-13 * np.abs(ref_grad).max()
+
+
+def test_near_field_coincident_pair_is_zero():
+    rng = np.random.default_rng(12)
+    pts = rng.uniform(0.0, 1.0, size=(60, 3))
+    plan = FmmPlan(pts, pts, n_crit=8)
+    q = np.zeros(60)
+    q[17] = 2.0
+    dip = np.zeros((60, 3))
+    dip[17] = [0.5, -1.0, 0.25]
+    pot, grad = plan.near_field(charges=q, dipoles=dip, want_gradient=True)
+    assert pot[17] == 0.0 and np.all(grad[17] == 0.0)
+    assert np.count_nonzero(pot) > 0     # the source is seen by its neighbours
+
+
+def test_near_field_translation_invariant():
+    rng = np.random.default_rng(13)
+    src = rng.uniform(0.0, 1.0, size=(600, 3))
+    tgt = rng.uniform(0.0, 1.0, size=(200, 3))
+    q = rng.uniform(-1.0, 1.0, size=(2, 600))
+    dip = rng.uniform(-1.0, 1.0, size=(2, 600, 3))
+    shift = np.array([1e3, -1e3, 1e3])
+    plan = FmmPlan(src, tgt, n_crit=32)
+    moved = FmmPlan(src + shift, tgt + shift, n_crit=32)
+    np.testing.assert_array_equal(plan.p2p_pairs, moved.p2p_pairs)
+    pot, grad = plan.near_field(charges=q, dipoles=dip, want_gradient=True)
+    pot_s, grad_s = moved.near_field(charges=q, dipoles=dip, want_gradient=True)
+    # shifted coordinates round at 1e3 * eps, so compare on the output scale
+    assert np.abs(pot_s - pot).max() <= 1e-10 * np.abs(pot).max()
+    assert np.abs(grad_s - grad).max() <= 1e-10 * np.abs(grad).max()

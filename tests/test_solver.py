@@ -88,6 +88,22 @@ def test_fixed_schedule_keeps_order():
     assert sched.order(1e-9, 9) == 9
 
 
+@given(p_initial=st.integers(0, 30), p_min=st.integers(-5, 35))
+@settings(max_examples=100, deadline=None)
+def test_schedule_rejects_bad_orders(p_initial, p_min):
+    """A schedule exists exactly when 0 <= p_min <= p_initial."""
+    if 0 <= p_min <= p_initial:
+        assert solver.RelaxationSchedule(p_initial=p_initial, p_min=p_min).p_min == p_min
+    else:
+        with pytest.raises(ValueError, match="p_min"):
+            solver.RelaxationSchedule(p_initial=p_initial, p_min=p_min)
+
+
+def test_solve_rejects_p_min_above_p_initial():
+    with pytest.raises(ValueError, match="p_min"):
+        solver.solve(None, np.ones(3), p_initial=4, p_min=5)
+
+
 def test_relaxed_gmres_matches_fixed_on_dense():
     """Relaxed p-schedule with an exact mat-vec changes nothing."""
     rng = np.random.default_rng(3)
