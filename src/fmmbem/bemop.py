@@ -15,10 +15,16 @@ Only the expansion part depends on p, so lowering the order mid-solve leaves
 all near-field arithmetic untouched.  The right-hand side goes through the
 same pipeline at a fixed high order (p = 18); chunked direct sums over all
 Gauss points (``dense_apply``, ``assemble_rhs(dense=True)``) are the exact
-reference for both.
+reference for both.  Either way a layer potential is one
+:func:`fmmbem.kernels.kernel_sum`: the FMM and the dense path differ only in
+the bare 1/r channel evaluator handed to it.
+
+The mesh must be closed and outward oriented; the operator checks both
+before it builds anything.
 """
 
 import enum
+import functools
 import itertools
 
 import numpy as np
@@ -27,11 +33,16 @@ from scipy.spatial import cKDTree
 
 from . import kernels
 from . import quadrature as Q
-from .fmm import FmmPlan, _combine_stokeslet, _combine_stresslet, \
-    _stokeslet_channels, _stresslet_channels
+from .fmm import FmmPlan
 from .kernels import FOUR_PI, KernelKind
+from .mesh import check_closed, check_outward
 
 EIGHT_PI = 8.0 * np.pi
+# near-singular cutoff distance of a source panel, in units of
+# sqrt(2 * panel area): closer centroids get the fine or singular rule
+NEAR_FACTOR = 2.0
+# near pairs per block of the correction matrix's batched rule sums
+CORRECTION_CHUNK = 16384
 # targets per block of the dense direct sums: each (block, Gauss points)
 # temporary is 32 MB at N = 8192, and larger blocks run no faster
 DENSE_CHUNK = 128
@@ -50,22 +61,26 @@ class Formulation(enum.Enum):
 class BemOperator:
     """System operator and right-hand-side assembly for one mesh.
 
-    theta, n_crit control the tree evaluation; near_factor sets the
-    near-singular cutoff distance in units of sqrt(2 * panel area).
+    theta, n_crit control the tree evaluation.  The mesh must pass
+    check_closed and check_outward.
     """
 
-    def __init__(self, mesh, formulation, theta=0.5, n_crit=126, mu=1e-3,
-                 near_factor=2.0, n_gauss_singular=32):
+    def __init__(self, mesh, formulation, theta=0.5, n_crit=126, mu=1e-3):
         if not 0.0 < theta < 1.0:
             raise ValueError(f"theta must be in (0, 1), got {theta}")
         if n_crit < 1:
             raise ValueError(f"n_crit must be >= 1, got {n_crit}")
+        if not check_closed(mesh):
+            raise ValueError("mesh fails check_closed: some edge is not shared by exactly "
+                             "two triangles, once in each direction")
+        if not check_outward(mesh):
+            raise ValueError("mesh fails check_outward: its enclosed volume is not positive, "
+                             "so the triangles are ordered inward")
         self.mesh = mesh
         self.formulation = Formulation(formulation)
         self.mu = mu
         self.theta = theta
         self.n_crit = n_crit
-        self.near_factor = near_factor
 
         _, self.normals, self.areas = mesh.geometry()
         pv = mesh.panel_vertices
@@ -89,8 +104,8 @@ class BemOperator:
             sys_kind, rhs_kind = rhs_kind, sys_kind
         self._sys_kind = sys_kind
         self._rhs_kind = rhs_kind
-        self._c_sys = self._correction_matrix(sys_kind, n_gauss_singular)
-        self._c_rhs = self._correction_matrix(rhs_kind, n_gauss_singular)
+        self._c_sys = self._correction_matrix(sys_kind)
+        self._c_rhs = self._correction_matrix(rhs_kind)
 
     @property
     def n_panels(self):
@@ -105,7 +120,7 @@ class BemOperator:
 
     def _find_near_pairs(self):
         """(target panel, source panel) pairs needing fine or singular rules."""
-        cutoff = self.near_factor * np.sqrt(2.0 * self.areas)
+        cutoff = NEAR_FACTOR * np.sqrt(2.0 * self.areas)
         tree = cKDTree(self.centroids)
         hits = tree.query_ball_point(self.centroids, cutoff, return_sorted=True)
         lengths = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
@@ -137,7 +152,7 @@ class BemOperator:
         rn = np.einsum("pki,pi->pk", r, normals)
         return 6.0 * np.einsum("pk,pki,pkj->pij", wts * rn * inv ** 5, r, r)
 
-    def _correction_matrix(self, kind, n_gauss, chunk=16384):
+    def _correction_matrix(self, kind):
         """Sparse fix-up: fine/singular integral minus the coarse contribution.
 
         The coarse contribution of the self panel excludes its centroid Gauss
@@ -145,12 +160,11 @@ class BemOperator:
         """
         pv = self.mesh.panel_vertices
         k = Q.FAR_RULE.n_points
-        scalar = kind in (KernelKind.LAPLACE_SINGLE, KernelKind.LAPLACE_DOUBLE)
         n_pairs = len(self._near_pairs)
-        deltas = np.zeros(n_pairs) if scalar else np.zeros((n_pairs, 3, 3))
+        deltas = np.zeros(n_pairs) if kind.scalar else np.zeros((n_pairs, 3, 3))
         fine_pts, fine_wts = Q.quadrature_points(pv, Q.NEAR_RULE)
-        for lo in range(0, n_pairs, chunk):
-            pr = self._near_pairs[lo:lo + chunk]
+        for lo in range(0, n_pairs, CORRECTION_CHUNK):
+            pr = self._near_pairs[lo:lo + CORRECTION_CHUNK]
             ti, sj = pr[:, 0], pr[:, 1]
             x = self.centroids[ti]
             nj = self.normals[sj]
@@ -164,15 +178,15 @@ class BemOperator:
             # 19-point rule; for the odd kernels it is exactly zero on a
             # flat panel
             fine[ti == sj] = 0.0
-            deltas[lo:lo + chunk] = fine - coarse
+            deltas[lo:lo + CORRECTION_CHUNK] = fine - coarse
         self_sel = np.flatnonzero(self._near_pairs[:, 0] == self._near_pairs[:, 1])
         j = self._near_pairs[self_sel, 1]
         if kind is KernelKind.LAPLACE_SINGLE:
-            deltas[self_sel] += Q.integrate_singular_laplace(pv[j], n_gauss)
+            deltas[self_sel] += Q.integrate_singular_laplace(pv[j])
         elif kind is KernelKind.STOKESLET:
-            deltas[self_sel] += Q.integrate_singular_stokeslet(pv[j], n_gauss)
+            deltas[self_sel] += Q.integrate_singular_stokeslet(pv[j])
         ti, sj = self._near_pairs[:, 0], self._near_pairs[:, 1]
-        if scalar:
+        if kind.scalar:
             rows, cols, vals = ti, sj, deltas
         else:
             a, b = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
@@ -184,65 +198,38 @@ class BemOperator:
 
     # -- kernel-layer applications ---------------------------------------------
 
-    def _gauss_density(self, x_panels):
-        """Per-Gauss-point strengths w_g * x_{panel(g)}."""
-        return self.src_weight * x_panels[self.src_panel]
-
-    def _layer_apply(self, kind, x, p, correction, dense=False):
+    def _layer_apply(self, kind, x, p, correction, dense):
         """Quadrature-discretized layer potential at the centroids.
 
         dense=True replaces the tree evaluation by chunked direct sums
         (identical arithmetic for the near corrections).
         """
-        if kind in (KernelKind.LAPLACE_SINGLE, KernelKind.LAPLACE_DOUBLE):
-            charges = self._gauss_density(x)
-            if kind is KernelKind.LAPLACE_SINGLE:
-                q, dip = charges, None
-            else:
-                q, dip = None, charges[:, None] * self.src_normal
-            if dense:
-                out = self._dense_potential(q, dip)
-            else:
-                out = (
-                    self.plan.far_field(charges=q, dipoles=dip, p=p)
-                    + self.plan.near_field(charges=q, dipoles=dip)
-                )
-            return out / FOUR_PI + correction @ x
-        t = x.reshape(self.n_panels, 3)
-        strengths = self.src_weight[:, None] * t[self.src_panel]
-        if kind is KernelKind.STOKESLET:
-            q = _stokeslet_channels(self.src_pos, strengths)
-            if dense:
-                pot, grad = self._dense_potential(q, None, want_gradient=True)
-            else:
-                pot, grad = self.plan.far_field(charges=q, p=p, want_gradient=True)
-                npot, ngrad = self.plan.near_field(charges=q, want_gradient=True)
-                pot, grad = pot + npot, grad + ngrad
-            u = _combine_stokeslet(self.centroids, pot, grad)
+        if kind.scalar:
+            density = self.src_weight * x[self.src_panel]
         else:
-            dip = _stresslet_channels(self.src_pos, strengths, self.src_normal)
-            if dense:
-                pot, grad = self._dense_potential(None, dip, want_gradient=True)
-            else:
-                pot, grad = self.plan.far_field(dipoles=dip, p=p, want_gradient=True)
-                npot, ngrad = self.plan.near_field(dipoles=dip, want_gradient=True)
-                pot, grad = pot + npot, grad + ngrad
-            u = _combine_stresslet(self.centroids, pot, grad)
+            density = self.src_weight[:, None] * x.reshape(self.n_panels, 3)[self.src_panel]
+        channel_sum = (self._dense_potential if dense
+                       else functools.partial(self.plan.channel_sum, p=p))
+        u = kernels.kernel_sum(kind, channel_sum, self.src_pos, density, self.centroids,
+                               self.src_normal)
         return u.reshape(-1) + correction @ x
 
-    def _dense_potential(self, charges, dipoles, want_gradient=False):
-        """Direct 1/r (and dipole) sums over all Gauss points, self pair zeroed."""
-        q, dip, C, single = kernels.as_channels(charges, dipoles)
+    def _dense_potential(self, charges, dipoles, want_gradient):
+        """Direct 1/r (and dipole) sums over all Gauss points, self pair zeroed.
+
+        Same arguments and return shapes as :meth:`FmmPlan.far_field`.
+        """
+        C = len(charges if charges is not None else dipoles)
         nt = len(self.centroids)
         pot = np.zeros((C, nt))
         grad = np.zeros((C, nt, 3)) if want_gradient else None
         for lo in range(0, nt, DENSE_CHUNK):
             sl = slice(lo, lo + DENSE_CHUNK)
-            pot[:, sl], g = kernels.laplace_sum(self.centroids[sl], self.src_pos, q, dip,
-                                                want_gradient)
+            pot[:, sl], g = kernels.laplace_sum(self.centroids[sl], self.src_pos, charges,
+                                                dipoles, want_gradient)
             if want_gradient:
                 grad[:, sl] = g
-        return kernels.from_channels(pot, grad, single)
+        return pot, grad
 
     # -- public operator interface ---------------------------------------------
 

@@ -6,19 +6,18 @@ order ``p`` is an argument of every application, so a relaxed solver can
 lower ``p`` each iteration without rebuilding anything.
 
 The harmonic machinery works on the bare 1/r kernel with monopole and dipole
-sources; Stokes kernels are reduced to several Laplace-type channels
-(stokeslet: three component potentials plus one moment potential; stresslet:
-seven dipole potentials) whose values and gradients recombine at the targets.
+sources, for C channels at once; :func:`fmmbem.kernels.kernel_sum` reduces
+every kernel to such channels and recombines their values and gradients.
 """
 
+import functools
 import math
 
 import numpy as np
 
 from . import harmonics as H
-from .kernels import (FOUR_PI, KernelKind, as_channels, from_channels, laplace_sum,
-                      pair_geometry)
-from .octree import build_tree, bounding_cube
+from .kernels import kernel_sum, laplace_sum, pair_geometry
+from .octree import MAX_DEPTH, build_tree, bounding_cube
 
 # Cell size entering the acceptance criterion, in units of the cube half
 # width.  With 1.0 the measured far-field error tracks ~2^-p at theta = 0.5,
@@ -106,12 +105,12 @@ def _level_groups(tree):
 class FmmPlan:
     """Trees, traversal and cached translation data for one geometry."""
 
-    def __init__(self, src_pos, tgt_pos, n_crit=126, theta=0.5, max_depth=20):
+    def __init__(self, src_pos, tgt_pos, n_crit=126, theta=0.5):
         src_pos = np.atleast_2d(np.asarray(src_pos, dtype=float))
         tgt_pos = np.atleast_2d(np.asarray(tgt_pos, dtype=float))
         center, half = bounding_cube(np.vstack([src_pos, tgt_pos]))
-        self.src_tree = build_tree(src_pos, n_crit, max_depth, center, half)
-        self.tgt_tree = build_tree(tgt_pos, n_crit, max_depth, center, half)
+        self.src_tree = build_tree(src_pos, n_crit, center, half)
+        self.tgt_tree = build_tree(tgt_pos, n_crit, center, half)
         self.theta = theta
         self.m2l_pairs, self.p2p_pairs = dual_traversal(self.src_tree, self.tgt_tree, theta)
         # group M2L pairs by their center offset (lattice-exact for shared
@@ -120,7 +119,7 @@ class FmmPlan:
         self._m2l_groups = []
         if len(self.m2l_pairs):
             D = self.tgt_tree.center[self.m2l_pairs[:, 1]] - self.src_tree.center[self.m2l_pairs[:, 0]]
-            quantum = half * 2.0 ** -(max_depth + 2)
+            quantum = half * 2.0 ** -(MAX_DEPTH + 2)
             keys = np.round(D / quantum).astype(np.int64)
             flips = (keys[:, 0] < 0) + 2 * (keys[:, 1] < 0) + 4 * (keys[:, 2] < 0)
             mirrored, inverse = np.unique(np.abs(keys), axis=0, return_inverse=True)
@@ -188,21 +187,21 @@ class FmmPlan:
     def far_field(self, charges=None, dipoles=None, p=8, want_gradient=False):
         """Expansion-mediated part of the 1/r (and dipole) potential.
 
-        charges: (C, Ns) or (Ns,); dipoles: matching (C, Ns, 3) or (Ns, 3).
-        Returns (C, Nt) potentials (and (C, Nt, 3) gradients), or unbatched
-        arrays when the input was unbatched.  P2P pairs are NOT included.
+        charges (C, Ns) and dipoles (C, Ns, 3), either may be None, are C
+        channels.  Returns (C, Nt) potentials and (C, Nt, 3) gradients, the
+        latter None unless want_gradient.  P2P pairs are NOT included.
         """
-        q, dip, C, single = as_channels(charges, dipoles)
+        C = len(charges if charges is not None else dipoles)
         nt = len(self.tgt_tree.points)
         size = H.num_coeffs(p)
 
-        M = self._upward(q, dip, p, C, size)
+        M = self._upward(charges, dipoles, p, C, size)
         L = self._m2l_sweep(M, p, C, size)
         self._l2l_sweep(L, p)
         pot = np.zeros((C, nt))
         grad = np.zeros((C, nt, 3)) if want_gradient else None
         self._l2p(L, p, pot, grad)
-        return from_channels(pot, grad, single)
+        return pot, grad
 
     def _upward(self, q, dip, p, C, size):
         """P2M at the leaves, then M2M to the root."""
@@ -319,52 +318,26 @@ class FmmPlan:
         source/target pairs contribute zero (the BEM layer replaces self
         interactions with singular integrals).
         """
-        q, dip, C, single = as_channels(charges, dipoles)
+        C = len(charges if charges is not None else dipoles)
         nt = len(self.tgt_tree.points)
         pot = np.zeros((C, nt))
         grad = np.zeros((C, nt, 3)) if want_gradient else None
         for (tidx, sidx), geo in zip(self.p2p_items(), self._p2p_geometry):
             v, g = laplace_sum(geo, self.src_tree.points[sidx],
-                               None if q is None else q[:, sidx],
-                               None if dip is None else dip[:, sidx], want_gradient)
+                               None if charges is None else charges[:, sidx],
+                               None if dipoles is None else dipoles[:, sidx], want_gradient)
             pot[:, tidx] += v
             if want_gradient:
                 grad[:, tidx] += g
-        return from_channels(pot, grad, single)
+        return pot, grad
 
-
-def _stokeslet_channels(src_pos, strengths):
-    """Charges for the four-potential stokeslet decomposition."""
-    f = np.asarray(strengths, dtype=float)
-    return np.vstack([f.T, np.einsum("si,si->s", src_pos, f)])
-
-
-def _combine_stokeslet(targets, pot, grad):
-    """u_i = phi_i - x_c d_i phi_c + d_i psi from the four channel fields."""
-    u = pot[:3].T.copy()
-    u -= np.einsum("tc,cti->ti", targets, grad[:3])
-    u += grad[3]
-    return u
-
-
-def _stresslet_channels(src_pos, strengths, normals):
-    """Dipole moments for the seven-potential stresslet decomposition."""
-    f = np.asarray(strengths, dtype=float)
-    n = np.asarray(normals, dtype=float)
-    dip = np.empty((7, len(f), 3))
-    for c in range(3):
-        dip[c] = f[:, c:c + 1] * n        # Phi_c
-        dip[3 + c] = n[:, c:c + 1] * f    # Lambda_c
-    dip[6] = np.einsum("si,si->s", src_pos, f)[:, None] * n  # Psi
-    return dip
-
-
-def _combine_stresslet(targets, pot, grad):
-    """u_i = 2 Lambda_i - 2 x_c d_i Phi_c + 2 d_i Psi."""
-    u = 2.0 * pot[3:6].T.copy()
-    u -= 2.0 * np.einsum("tc,cti->ti", targets, grad[:3])
-    u += 2.0 * grad[6]
-    return u
+    def channel_sum(self, charges, dipoles, want_gradient, p):
+        """The whole 1/r sum at order p: :meth:`far_field` plus :meth:`near_field`."""
+        pot, grad = self.far_field(charges=charges, dipoles=dipoles, p=p,
+                                   want_gradient=want_gradient)
+        npot, ngrad = self.near_field(charges=charges, dipoles=dipoles,
+                                      want_gradient=want_gradient)
+        return pot + npot, None if grad is None else grad + ngrad
 
 
 def evaluate(kernel, src_pos, weights, targets, p, theta=0.5, n_crit=126,
@@ -375,28 +348,12 @@ def evaluate(kernel, src_pos, weights, targets, p, theta=0.5, n_crit=126,
     A prebuilt :class:`FmmPlan` for the same geometry can be passed to amortize
     tree construction across calls.
     """
-    kind = KernelKind(kernel)
     src_pos = np.atleast_2d(np.asarray(src_pos, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     if plan is None:
         plan = FmmPlan(src_pos, targets, n_crit=n_crit, theta=theta)
-    if kind is KernelKind.LAPLACE_SINGLE:
-        q = np.asarray(weights, dtype=float)
-        return (plan.far_field(charges=q, p=p) + plan.near_field(charges=q)) / FOUR_PI
-    if kind is KernelKind.LAPLACE_DOUBLE:
-        dip = np.asarray(weights, dtype=float)[:, None] * np.asarray(normals, dtype=float)
-        return (plan.far_field(dipoles=dip, p=p) + plan.near_field(dipoles=dip)) / FOUR_PI
-    if kind is KernelKind.STOKESLET:
-        q = _stokeslet_channels(src_pos, weights)
-        pot, grad = plan.far_field(charges=q, p=p, want_gradient=True)
-        npot, ngrad = plan.near_field(charges=q, want_gradient=True)
-        return _combine_stokeslet(targets, pot + npot, grad + ngrad)
-    if kind is KernelKind.STRESSLET:
-        dip = _stresslet_channels(src_pos, weights, normals)
-        pot, grad = plan.far_field(dipoles=dip, p=p, want_gradient=True)
-        npot, ngrad = plan.near_field(dipoles=dip, want_gradient=True)
-        return _combine_stresslet(targets, pot + npot, grad + ngrad)
-    raise ValueError(f"unsupported kernel {kernel!r}")
+    return kernel_sum(kernel, functools.partial(plan.channel_sum, p=p), src_pos, weights,
+                      targets, normals)
 
 
 def multipole_error_bound(total_abs_charge, cluster_radius, distance, p):

@@ -1,8 +1,13 @@
-"""Point-to-point Green's function kernels and the direct N-body reference sum.
+"""Point-to-point Green's function kernels and the sums built on them.
 
 Laplace kernels carry the 1/(4 pi) factor of G = 1/(4 pi r).  The Stokes
 kernels are prefactor-free (the -1/(8 pi mu) and 1/(8 pi) factors of the
 boundary-integral formulation are applied by the operator layer).
+
+:func:`direct_sum` contracts the pointwise kernels and is the independent
+reference.  :func:`kernel_sum` is the only place where a kernel is split
+into Laplace-type channels of the bare 1/r sum, which :func:`laplace_sum`,
+the FMM or the dense operator path evaluate, and recombined.
 """
 
 import enum
@@ -18,6 +23,16 @@ class KernelKind(enum.Enum):
     LAPLACE_DOUBLE = "laplace_double"
     STOKESLET = "stokeslet"
     STRESSLET = "stresslet"
+
+    @property
+    def scalar(self):
+        """True for the Laplace kernels: scalar weights and potentials."""
+        return self in (KernelKind.LAPLACE_SINGLE, KernelKind.LAPLACE_DOUBLE)
+
+    @property
+    def needs_normals(self):
+        """True for the double-layer kernels, which take source normals."""
+        return self in (KernelKind.LAPLACE_DOUBLE, KernelKind.STRESSLET)
 
 
 def _separation(x_t, x_s):
@@ -57,28 +72,6 @@ def stresslet_contracted(x_t, x_s, normal_s):
     outer = np.einsum("...i,...j->...ij", r, r)
     shape = np.shape(dist)
     return 6.0 * outer * rn.reshape(shape + (1, 1)) / (dist ** 5).reshape(shape + (1, 1))
-
-
-def as_channels(charges, dipoles):
-    """Batch (Ns,) charges / (Ns, 3) dipoles as one channel.
-
-    Returns (C, Ns) charges and (C, Ns, 3) dipoles (either may be None), the
-    channel count C, and whether the input was unbatched.
-    """
-    q = None if charges is None else np.asarray(charges, dtype=float)
-    dip = None if dipoles is None else np.asarray(dipoles, dtype=float)
-    single = q.ndim == 1 if q is not None else dip.ndim == 2
-    if single:
-        q = None if q is None else q[None]
-        dip = None if dip is None else dip[None]
-    return q, dip, len(q if q is not None else dip), single
-
-
-def from_channels(pot, grad, single):
-    """Undo :func:`as_channels` on (C, Nt) potentials and optional gradients."""
-    if single:
-        pot, grad = pot[0], None if grad is None else grad[0]
-    return pot if grad is None else (pot, grad)
 
 
 class PairGeometry(NamedTuple):
@@ -189,42 +182,83 @@ def laplace_sum(targets, sources, charges=None, dipoles=None, want_gradient=Fals
     return pot, grad
 
 
+def _check_normals(kind, normals):
+    if kind.needs_normals and normals is None:
+        raise ValueError(f"{kind.value} requires source normals")
+
+
+def kernel_sum(kind, channel_sum, src_pos, weights, targets, normals=None):
+    """The sum of :func:`direct_sum`, evaluated as Laplace-type channels.
+
+    Same arguments and result as :func:`direct_sum`, plus channel_sum, the
+    bare 1/r evaluator: channel_sum(charges, dipoles, want_gradient) takes
+    charges (C, Ns) and dipoles (C, Ns, 3), either may be None, and returns
+    (C, Nt) potentials at the targets and (C, Nt, 3) gradients, the latter
+    None unless want_gradient, like :func:`laplace_sum`.  A Laplace kernel
+    is one channel.  The stokeslet is four charge potentials and the
+    stresslet seven dipole potentials, recombined from their values and
+    gradients at the targets (Tornberg & Greengard, JCP 2008).
+    """
+    kind = KernelKind(kind)
+    _check_normals(kind, normals)
+    f = np.asarray(weights, dtype=float)
+    if kind is KernelKind.LAPLACE_SINGLE:
+        return channel_sum(f[None], None, False)[0][0] / FOUR_PI
+    n = None if normals is None else np.asarray(normals, dtype=float)
+    if kind is KernelKind.LAPLACE_DOUBLE:
+        return channel_sum(None, (f[:, None] * n)[None], False)[0][0] / FOUR_PI
+    x = np.asarray(targets, dtype=float)
+    yf = np.einsum("si,si->s", np.asarray(src_pos, dtype=float), f)
+    if kind is KernelKind.STOKESLET:
+        # phi_c = sum f_c / r and psi = sum (y . f) / r give
+        # u_i = phi_i - x_c d_i phi_c + d_i psi
+        pot, grad = channel_sum(np.vstack([f.T, yf]), None, True)
+        u = pot[:3].T.copy()
+        u -= np.einsum("tc,cti->ti", x, grad[:3])
+        u += grad[3]
+        return u
+    # dipole potentials Phi_c (moments f_c n), Lambda_c (n_c f) and
+    # Psi ((y . f) n) give u_i = 2 Lambda_i - 2 x_c d_i Phi_c + 2 d_i Psi
+    dip = np.empty((7, len(f), 3))
+    for c in range(3):
+        dip[c] = f[:, c:c + 1] * n
+        dip[3 + c] = n[:, c:c + 1] * f
+    dip[6] = yf[:, None] * n
+    pot, grad = channel_sum(None, dip, True)
+    u = 2.0 * pot[3:6].T
+    u -= 2.0 * np.einsum("tc,cti->ti", x, grad[:3])
+    u += 2.0 * grad[6]
+    return u
+
+
 def direct_sum(kind, src_pos, weights, targets, normals=None, chunk=2048):
-    """Direct O(N_t * N_s) kernel sum, deterministic (ascending source index).
+    """Direct O(N_t * N_s) kernel sum of the pointwise kernels above.
 
     weights: (Ns,) scalar charges for Laplace kernels, (Ns, 3) strengths for
     Stokes kernels.  normals: (Ns, 3), required for double-layer/stresslet.
-    Returns (Nt,) potentials or (Nt, 3) velocities.
+    Returns (Nt,) potentials or (Nt, 3) velocities.  Targets go in blocks of
+    chunk; a target that coincides with a source raises ValueError.
     """
     kind = KernelKind(kind)
+    _check_normals(kind, normals)
     src = np.atleast_2d(np.asarray(src_pos, dtype=float))
     tgt = np.atleast_2d(np.asarray(targets, dtype=float))
     w = np.asarray(weights, dtype=float)
-    needs_normal = kind in (KernelKind.LAPLACE_DOUBLE, KernelKind.STRESSLET)
-    if needs_normal and normals is None:
-        raise ValueError(f"{kind.value} requires source normals")
-    scalar = kind in (KernelKind.LAPLACE_SINGLE, KernelKind.LAPLACE_DOUBLE)
-    out = np.zeros(len(tgt)) if scalar else np.zeros((len(tgt), 3))
+    kernel = {KernelKind.LAPLACE_SINGLE: laplace_single,
+              KernelKind.LAPLACE_DOUBLE: laplace_double,
+              KernelKind.STOKESLET: stokeslet,
+              KernelKind.STRESSLET: stresslet_contracted}[kind]
+    args = (src[None], np.asarray(normals, dtype=float)) if kind.needs_normals else (src[None],)
+    out = np.zeros(len(tgt)) if kind.scalar else np.zeros((len(tgt), 3))
     for lo in range(0, len(tgt), chunk):
-        t = tgt[lo:lo + chunk]
-        r = t[:, None, :] - src[None, :, :]
-        d2 = np.einsum("tsi,tsi->ts", r, r)
-        if np.any(d2 == 0.0):
-            ti, si = np.argwhere(d2 == 0.0)[0]
-            raise ValueError(f"coincident pair: target {lo + ti}, source {si}")
-        d = np.sqrt(d2)
-        if kind is KernelKind.LAPLACE_SINGLE:
-            out[lo:lo + chunk] = np.sum(w / d, axis=1) / FOUR_PI
-        elif kind is KernelKind.LAPLACE_DOUBLE:
-            rn = np.einsum("tsi,si->ts", r, normals)
-            out[lo:lo + chunk] = np.sum(w * rn / d ** 3, axis=1) / FOUR_PI
-        elif kind is KernelKind.STOKESLET:
-            rw = np.einsum("tsi,si->ts", r, w)
-            out[lo:lo + chunk] = np.einsum("si,ts->ti", w, 1.0 / d) + np.einsum(
-                "tsi,ts->ti", r, rw / d ** 3
-            )
-        else:  # stresslet
-            rw = np.einsum("tsi,si->ts", r, w)
-            rn = np.einsum("tsi,si->ts", r, normals)
-            out[lo:lo + chunk] = 6.0 * np.einsum("tsi,ts->ti", r, rw * rn / d ** 5)
+        t = tgt[lo:lo + chunk, None]
+        try:
+            k = kernel(t, *args)
+        except ValueError:
+            hits = np.argwhere(np.linalg.norm(t - src, axis=-1) == 0.0)
+            if not len(hits):
+                raise
+            ti, si = hits[0]
+            raise ValueError(f"coincident pair: target {lo + ti}, source {si}") from None
+        out[lo:lo + chunk] = k @ w if kind.scalar else np.einsum("tsij,sj->ti", k, w)
     return out

@@ -18,14 +18,10 @@ from .quadrature import panel_geometry
 
 @dataclass
 class Mesh:
-    """Vertices (V, 3) and triangles (P, 3) indexing them, outward oriented.
-
-    tags carries one integer boundary-condition id per panel (0 by default).
-    """
+    """Vertices (V, 3) and triangles (P, 3) indexing them, outward oriented."""
 
     vertices: np.ndarray
     triangles: np.ndarray
-    tags: np.ndarray = None
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -36,12 +32,6 @@ class Mesh:
             raise ValueError("triangles must be (P, 3)")
         if self.triangles.min(initial=0) < 0 or self.triangles.max(initial=-1) >= len(self.vertices):
             raise ValueError("triangle indices out of range")
-        if self.tags is None:
-            self.tags = np.zeros(len(self.triangles), dtype=np.intp)
-        else:
-            self.tags = np.asarray(self.tags, dtype=np.intp)
-            if self.tags.shape != (len(self.triangles),):
-                raise ValueError("tags must have one entry per triangle")
 
     @property
     def n_panels(self):
@@ -66,10 +56,10 @@ class Mesh:
         return float(np.einsum("pi,pi->p", v[:, 0], np.cross(v[:, 1], v[:, 2])).sum() / 6.0)
 
     def translated(self, offset):
-        return Mesh(self.vertices + np.asarray(offset, dtype=float), self.triangles, self.tags)
+        return Mesh(self.vertices + np.asarray(offset, dtype=float), self.triangles)
 
     def rotated(self, rotation):
-        return Mesh(rotation.apply(self.vertices), self.triangles, self.tags)
+        return Mesh(rotation.apply(self.vertices), self.triangles)
 
 
 _OCTA_VERTS = np.array(
@@ -173,42 +163,38 @@ def make_scene(n_bodies, level, radius=1.0, spacing_margin=0.05, seed=0):
 
 
 def write_mesh(path, mesh):
-    """Plain-text format: 'nv np' header, nv vertex lines, np 'i j k tag' lines."""
+    """Plain-text format: 'nv np' header, nv vertex lines, np 'i j k' lines."""
     buf = io.StringIO()
     buf.write(f"{len(mesh.vertices)} {mesh.n_panels}\n")
     for v in mesh.vertices:
         buf.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-    for t, tag in zip(mesh.triangles, mesh.tags):
-        buf.write(f"{t[0]} {t[1]} {t[2]} {tag}\n")
+    for t in mesh.triangles:
+        buf.write(f"{t[0]} {t[1]} {t[2]}\n")
     with open(path, "w") as fh:
         fh.write(buf.getvalue())
 
 
 def read_mesh(path):
+    """Read :func:`write_mesh` output.  Triangle lines of files written with
+    a fourth (tag) column still read; the column is ignored."""
     with open(path) as fh:
         nv, npan = map(int, fh.readline().split())
         verts = np.loadtxt(fh, max_rows=nv, ndmin=2)
         tris = np.loadtxt(fh, dtype=np.intp, max_rows=npan, ndmin=2)
-    if verts.shape != (nv, 3):
+    if verts.shape != (nv, 3) or tris.shape not in ((npan, 3), (npan, 4)):
         raise ValueError("mesh file does not match its header counts")
-    if tris.shape == (npan, 3):
-        tags = None
-    elif tris.shape == (npan, 4):
-        tris, tags = tris[:, :3], tris[:, 3]
-    else:
-        raise ValueError("mesh file does not match its header counts")
-    return Mesh(verts, tris, tags)
+    return Mesh(verts, tris[:, :3])
 
 
 def check_closed(mesh):
     """True when every edge is shared by exactly two triangles, once per direction."""
-    edges = {}
-    for a, b, c in mesh.triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            edges[(u, v)] = edges.get((u, v), 0) + 1
-    if any(n != 1 for n in edges.values()):
-        return False
-    return all((v, u) in edges for u, v in edges)
+    tri = mesh.triangles
+    n = len(mesh.vertices)
+    head, tail = tri.ravel(), np.roll(tri, -1, axis=1).ravel()
+    # each directed edge a -> b as the code a * n + b
+    codes, counts = np.unique(head * n + tail, return_counts=True)
+    # with every directed edge once, the reversed codes must be the same set
+    return bool(np.all(counts == 1) and np.array_equal(np.sort(tail * n + head), codes))
 
 
 def check_outward(mesh):

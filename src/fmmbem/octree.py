@@ -2,6 +2,10 @@
 
 import numpy as np
 
+# Depth cap of every tree: coincident points beyond a leaf's capacity stop
+# splitting here.  FmmPlan keys its M2L offsets on a lattice this fine.
+MAX_DEPTH = 20
+
 
 class Octree:
     """Hierarchical cube subdivision with contiguous per-cell body ranges.
@@ -54,13 +58,13 @@ def bounding_cube(points, pad=1e-6):
     return center, half
 
 
-def build_tree(points, n_crit, max_depth=20, root_center=None, root_half=None):
+def build_tree(points, n_crit, root_center=None, root_half=None):
     """Build an octree over ``points`` with leaf capacity ``n_crit``.
 
     Deterministic for a fixed input order: octants are visited in a fixed
     order and bodies keep their relative input order inside each leaf.
     Coincident points beyond capacity end up in an oversized leaf at the
-    depth cap.
+    depth cap, MAX_DEPTH.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
@@ -91,7 +95,7 @@ def build_tree(points, n_crit, max_depth=20, root_center=None, root_half=None):
     while stack:
         cell, idx = stack.pop()
         starts[cell] = -1  # filled below
-        if len(idx) <= n_crit or levels[cell] >= max_depth:
+        if len(idx) <= n_crit or levels[cell] >= MAX_DEPTH:
             starts[cell] = cursor
             perm[cursor:cursor + len(idx)] = idx
             cursor += len(idx)

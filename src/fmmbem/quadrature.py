@@ -12,7 +12,6 @@ The operator layer treats each (target, panel) pair in one of three regimes:
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -71,14 +70,13 @@ FAR_RULE = _make_far_rule()
 NEAR_RULE = _make_near_rule()
 
 
-# panels per block of the batched singular rules: a (block, 3, n_gauss)
+# Gauss-Legendre nodes and weights of the angular rule on each
+# centroid-vertex sub-triangle of a singular panel integral
+SINGULAR_GAUSS = 32
+_ANGULAR_RULE = np.polynomial.legendre.leggauss(SINGULAR_GAUSS)
+# panels per block of the batched singular rules: a (block, 3, SINGULAR_GAUSS)
 # temporary stays under 0.5 MB, so set-up leaves no freed gap in the heap
 SINGULAR_CHUNK = 256
-
-
-@lru_cache(maxsize=16)
-def _leggauss(n):
-    return np.polynomial.legendre.leggauss(n)
 
 
 def panel_geometry(vertices):
@@ -136,15 +134,15 @@ def _local_frame(vertices):
     return np.stack([e1, e2, normal], axis=1), uv
 
 
-def _polar_subtriangles(uv, n_gauss):
+def _polar_subtriangles(uv):
     """Angular Gauss nodes, weights and radial extents around the origin.
 
     uv: (P, 3, 2) in-plane vertices of triangles containing the origin.
     Returns, per panel and centroid-vertex sub-triangle, the angles phi_k,
     quadrature weights, and the distance R(phi_k) to the opposite edge, each
-    shaped (P, 3, n_gauss).
+    shaped (P, 3, SINGULAR_GAUSS).
     """
-    x, w = _leggauss(n_gauss)
+    x, w = _ANGULAR_RULE
     a, b = uv, np.roll(uv, -1, axis=1)
     ta = np.arctan2(a[..., 1], a[..., 0])
     tb = np.arctan2(b[..., 1], b[..., 0])
@@ -161,24 +159,24 @@ def _polar_subtriangles(uv, n_gauss):
     return phi, wphi, np.abs(d_e)[..., None] / cosfac
 
 
-def _over_blocks(block_fn, vertices, n_gauss):
+def _over_blocks(block_fn, vertices):
     """block_fn over (3, 3) or (P, 3, 3) vertices, SINGULAR_CHUNK panels at a time."""
     v = np.asarray(vertices, dtype=float)
     flat = v.reshape(-1, 3, 3)
-    out = np.concatenate([block_fn(flat[lo:lo + SINGULAR_CHUNK], n_gauss)
+    out = np.concatenate([block_fn(flat[lo:lo + SINGULAR_CHUNK])
                           for lo in range(0, len(flat), SINGULAR_CHUNK)])
     return out[0] if v.ndim == 2 else out
 
 
-def _laplace_block(v, n_gauss):
+def _laplace_block(v):
     _, uv = _local_frame(v)
-    _, wphi, R = _polar_subtriangles(uv, n_gauss)
+    _, wphi, R = _polar_subtriangles(uv)
     return np.einsum("psk,psk->p", wphi, R) / FOUR_PI
 
 
-def _stokeslet_block(v, n_gauss):
+def _stokeslet_block(v):
     frame, uv = _local_frame(v)
-    phi, wphi, R = _polar_subtriangles(uv, n_gauss)
+    phi, wphi, R = _polar_subtriangles(uv)
     wr = wphi * R
     u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     # flat panel: r has no normal component, so the n-n entry stays I * scalar
@@ -187,21 +185,21 @@ def _stokeslet_block(v, n_gauss):
     return np.einsum("pai,pab,pbj->pij", frame, local, frame)
 
 
-def integrate_singular_laplace(vertices, n_gauss=32):
+def integrate_singular_laplace(vertices):
     """Integral of 1/(4 pi r) over triangles, singularity at each centroid.
 
     vertices: (3, 3) or (P, 3, 3); returns a float or (P,).  Radial
     integration is exact; the angular factor R(phi) is integrated by
     Gauss-Legendre on three centroid-vertex sub-triangles.
     """
-    return _over_blocks(_laplace_block, vertices, n_gauss)
+    return _over_blocks(_laplace_block, vertices)
 
 
-def integrate_singular_stokeslet(vertices, n_gauss=32):
+def integrate_singular_stokeslet(vertices):
     """(3, 3) integral of the bare stokeslet over its own triangle.
 
     vertices: (3, 3) or (P, 3, 3); returns (3, 3) or (P, 3, 3).  In the panel
     plane G = (I + u u^T)/r with u the in-plane unit direction, so the radial
     integral is R(phi) (I + u u^T); the result is rotated back to global axes.
     """
-    return _over_blocks(_stokeslet_block, vertices, n_gauss)
+    return _over_blocks(_stokeslet_block, vertices)

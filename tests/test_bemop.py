@@ -121,7 +121,7 @@ def test_fmm_rhs_matches_dense_rhs(sphere3, formulation, limit):
 def test_near_pairs_match_brute_force():
     """Target i is near source panel j when their centroids lie within j's cutoff."""
     op = BemOperator(M.make_sphere(2), Formulation.LAPLACE_FIRST)
-    cutoff = op.near_factor * np.sqrt(2.0 * op.areas)
+    cutoff = bemop.NEAR_FACTOR * np.sqrt(2.0 * op.areas)
     # rows (j, i) in ascending order, the order the search returns
     ref = np.argwhere(cdist(op.centroids, op.centroids).T <= cutoff[:, None])[:, ::-1]
     pairs = op._near_pairs
@@ -140,3 +140,23 @@ def test_operator_rejects_bad_tree_parameters(sphere3, monkeypatch, kwargs, matc
     monkeypatch.setattr(bemop, "FmmPlan", no_tree)
     with pytest.raises(ValueError, match=match):
         BemOperator(sphere3, Formulation.LAPLACE_FIRST, **kwargs)
+
+
+def _one_reversed(m):
+    tris = m.triangles.copy()
+    tris[7] = tris[7, ::-1]
+    return M.Mesh(m.vertices, tris)
+
+
+@pytest.mark.parametrize("damage, match", [
+    (lambda m: M.Mesh(m.vertices, m.triangles[:-1]), "check_closed"),
+    (lambda m: M.Mesh(m.vertices, m.triangles[:, ::-1]), "check_outward"),
+    (_one_reversed, "check_closed"),
+])
+def test_operator_rejects_open_or_inward_mesh(sphere3, monkeypatch, damage, match):
+    def no_tree(*args, **kw):
+        raise AssertionError("a tree was built before the mesh was checked")
+
+    monkeypatch.setattr(bemop, "FmmPlan", no_tree)
+    with pytest.raises(ValueError, match=match):
+        BemOperator(damage(sphere3), Formulation.STOKES)

@@ -105,13 +105,14 @@ def test_all_kernels_match_direct(kind):
 def test_gradient_consistency():
     pos, q = _random_sources(800, 8)
     plan = FmmPlan(pos, pos[:50], n_crit=64)
-    pot, grad = plan.far_field(charges=q, p=12, want_gradient=True)
+    _, grad = plan.far_field(charges=q[None], p=12, want_gradient=True)
+    grad = grad[0]
     h = 1e-5
     for axis in range(2):
         step = np.zeros(3)
         step[axis] = h
-        plus = FmmPlan(pos, pos[:50] + step, n_crit=64).far_field(charges=q, p=12)
-        minus = FmmPlan(pos, pos[:50] - step, n_crit=64).far_field(charges=q, p=12)
+        plus = FmmPlan(pos, pos[:50] + step, n_crit=64).far_field(charges=q[None], p=12)[0][0]
+        minus = FmmPlan(pos, pos[:50] - step, n_crit=64).far_field(charges=q[None], p=12)[0][0]
         fd = (plus - minus) / (2 * h)
         # finite differences across separately built trees are noisy; loose band
         assert np.median(np.abs(grad[:, axis] - fd) / (np.abs(fd) + 1.0)) < 1e-3
@@ -173,7 +174,8 @@ def test_near_field_coincident_pair_is_zero():
     q[17] = 2.0
     dip = np.zeros((60, 3))
     dip[17] = [0.5, -1.0, 0.25]
-    pot, grad = plan.near_field(charges=q, dipoles=dip, want_gradient=True)
+    pot, grad = plan.near_field(charges=q[None], dipoles=dip[None], want_gradient=True)
+    pot, grad = pot[0], grad[0]
     assert pot[17] == 0.0 and np.all(grad[17] == 0.0)
     assert np.count_nonzero(pot) > 0     # the source is seen by its neighbours
 

@@ -1,11 +1,11 @@
 """Point kernels and the direct reference sum."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from fmmbem import kernels as K
-from fmmbem.fmm import (_combine_stokeslet, _combine_stresslet, _stokeslet_channels,
-                        _stresslet_channels)
 
 RNG = np.random.default_rng(11)
 
@@ -47,6 +47,16 @@ def test_coincident_raises():
         K.direct_sum(K.KernelKind.LAPLACE_SINGLE, [[0.0, 0, 0]], [1.0], [[0.0, 0, 0]])
 
 
+@pytest.mark.parametrize("kind", [K.KernelKind.LAPLACE_DOUBLE, K.KernelKind.STRESSLET])
+def test_double_layer_kernels_require_normals(kind):
+    src, tgt = RNG.uniform(-1, 1, size=(4, 3)), RNG.uniform(2, 3, size=(2, 3))
+    w = RNG.uniform(-1, 1, size=4 if kind.scalar else (4, 3))
+    with pytest.raises(ValueError, match="normals"):
+        K.direct_sum(kind, src, w, tgt)
+    with pytest.raises(ValueError, match="normals"):
+        K.kernel_sum(kind, None, src, w, tgt)
+
+
 @pytest.mark.parametrize("kind", list(K.KernelKind))
 def test_direct_sum_matches_loop(kind):
     ns, nt = 17, 5
@@ -80,21 +90,6 @@ def test_direct_sum_chunking_invariant():
     np.testing.assert_allclose(a, b, rtol=1e-15)
 
 
-def _laplace_sum_as(kind, src, w, tgt, normals):
-    """A kernel sum through laplace_sum and the FMM channel recombination."""
-    if kind is K.KernelKind.LAPLACE_SINGLE:
-        return K.laplace_sum(tgt, src, charges=w[None])[0][0] / K.FOUR_PI
-    if kind is K.KernelKind.LAPLACE_DOUBLE:
-        return K.laplace_sum(tgt, src, dipoles=(w[:, None] * normals)[None])[0][0] / K.FOUR_PI
-    if kind is K.KernelKind.STOKESLET:
-        pot, grad = K.laplace_sum(tgt, src, charges=_stokeslet_channels(src, w),
-                                  want_gradient=True)
-        return _combine_stokeslet(tgt, pot, grad)
-    pot, grad = K.laplace_sum(tgt, src, dipoles=_stresslet_channels(src, w, normals),
-                              want_gradient=True)
-    return _combine_stresslet(tgt, pot, grad)
-
-
 @pytest.mark.parametrize("kind", list(K.KernelKind))
 def test_laplace_sum_matches_direct_sum(kind):
     # separated clouds: with close pairs the expanded forms of laplace_sum
@@ -107,7 +102,8 @@ def test_laplace_sum_matches_direct_sum(kind):
     scalar = kind in (K.KernelKind.LAPLACE_SINGLE, K.KernelKind.LAPLACE_DOUBLE)
     w = RNG.uniform(-1, 1, size=ns if scalar else (ns, 3))
     ref = K.direct_sum(kind, src, w, tgt, normals=normals)
-    val = _laplace_sum_as(kind, src, w, tgt, normals)
+    # the program's channel split, over laplace_sum of all pairs
+    val = K.kernel_sum(kind, functools.partial(K.laplace_sum, tgt, src), src, w, tgt, normals)
     np.testing.assert_allclose(val, ref, rtol=1e-12, atol=1e-14)
 
 

@@ -62,12 +62,10 @@ def test_scene_determinism_and_separation(tmp_path):
 
 def test_mesh_roundtrip(tmp_path):
     m = M.make_rbc(2)
-    m.tags[:5] = 7
     path = tmp_path / "m.msh"
     M.write_mesh(path, m)
     back = M.read_mesh(path)
     np.testing.assert_array_equal(back.triangles, m.triangles)
-    np.testing.assert_array_equal(back.tags, m.tags)
     np.testing.assert_allclose(back.vertices, m.vertices, rtol=0, atol=0)
 
 
@@ -79,8 +77,7 @@ def test_mesh_file_format(tmp_path):
     assert lines[0].split() == ["6", "8"]
     assert len(lines) == 1 + 6 + 8
     assert len(lines[1].split()) == 3            # x y z
-    assert len(lines[7].split()) == 4            # i j k tag
-    assert lines[7].split()[3] == "0"
+    assert len(lines[7].split()) == 3            # i j k
 
 
 def test_tagless_file_still_reads(tmp_path):
@@ -88,14 +85,26 @@ def test_tagless_file_still_reads(tmp_path):
     path.write_text("3 1\n0 0 0\n1 0 0\n0 1 0\n0 1 2\n")
     m = M.read_mesh(path)
     assert m.n_panels == 1
-    np.testing.assert_array_equal(m.tags, [0])
+    np.testing.assert_array_equal(m.triangles, [[0, 1, 2]])
 
 
-def test_invalid_mesh_rejected():
+def test_four_column_file_reads(tmp_path):
+    """Files written with a tag column read, the column ignored."""
+    path = tmp_path / "tagged.msh"
+    path.write_text("4 2\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 1 2 7\n0 1 3 0\n")
+    m = M.read_mesh(path)
+    np.testing.assert_array_equal(m.triangles, [[0, 1, 2], [0, 1, 3]])
+
+
+def test_invalid_mesh_rejected(tmp_path):
     with pytest.raises(ValueError):
         M.Mesh(np.zeros((3, 3)), np.array([[0, 1, 5]]))
     with pytest.raises(ValueError):
-        M.Mesh(np.zeros((3, 3)), np.array([[0, 1, 2]]), tags=[1, 2])
+        M.Mesh(np.zeros((3, 3)), np.array([[0, 1, 2, 0]]))
+    path = tmp_path / "bad.msh"
+    path.write_text("3 1\n0 0 0\n1 0 0\n0 1 0\n0 1 2 0 0\n")
+    with pytest.raises(ValueError):
+        M.read_mesh(path)
 
 
 def test_open_surface_detected():
@@ -104,3 +113,30 @@ def test_open_surface_detected():
     assert not M.check_closed(open_mesh)
     flipped = M.Mesh(m.vertices, m.triangles[:, ::-1])
     assert not M.check_outward(flipped)
+
+
+def _closed_by_edge_loop(mesh):
+    """The per-triangle loop that check_closed replaces, as its reference."""
+    edges = {}
+    for a, b, c in mesh.triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            edges[(u, v)] = edges.get((u, v), 0) + 1
+    if any(n != 1 for n in edges.values()):
+        return False
+    return all((v, u) in edges for u, v in edges)
+
+
+def test_check_closed_matches_edge_loop():
+    m = M.make_sphere(2)
+    reversed_one = m.triangles.copy()
+    reversed_one[3] = reversed_one[3, ::-1]
+    meshes = [
+        m, M.make_rbc(1), M.make_scene(3, level=1, seed=2),
+        M.Mesh(m.vertices, m.triangles[:-1]),                     # open
+        M.Mesh(m.vertices, m.triangles[:, ::-1]),                 # flipped, still closed
+        M.Mesh(m.vertices, reversed_one),
+        M.Mesh(m.vertices, np.vstack([m.triangles, m.triangles[:1]])),  # repeated panel
+    ]
+    for mesh in meshes:
+        assert M.check_closed(mesh) == _closed_by_edge_loop(mesh)
+    assert [M.check_closed(x) for x in meshes] == [True, True, True, False, True, False, False]
