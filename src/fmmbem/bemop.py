@@ -8,8 +8,9 @@ The operator action is evaluated as
 
     far Gauss points  -> multipole expansions (order p, chosen per call)
     near Gauss points -> direct kernel sums (the tree's P2P pairs)
-    + a sparse correction matrix that replaces the coarse-rule contribution
-      of geometrically close panels by fine-rule or singular integrals.
+    + a sparse correction matrix (:class:`BlockCsr`) that replaces the
+      coarse-rule contribution of geometrically close panels by fine-rule or
+      singular integrals.
 
 Only the expansion part depends on p, so lowering the order mid-solve leaves
 all near-field arithmetic untouched.  The right-hand side goes through the
@@ -25,11 +26,8 @@ before it builds anything.
 
 import enum
 import functools
-import itertools
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from . import kernels
 from . import quadrature as Q
@@ -43,6 +41,12 @@ EIGHT_PI = 8.0 * np.pi
 NEAR_FACTOR = 2.0
 # near pairs per block of the correction matrix's batched rule sums
 CORRECTION_CHUNK = 16384
+# candidate pairs per block of the near-pair search: its temporaries stay in
+# cache, and larger blocks run slower
+NEAR_SEARCH_CHUNK = 32768
+# the 27 cells around a cell, as (dx, dy, dz)
+_NEIGHBOUR_CELLS = np.array([(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1)
+                             for c in (-1, 0, 1)])
 # targets per block of the dense direct sums: each (block, Gauss points)
 # temporary is 32 MB at N = 8192, and larger blocks run no faster
 DENSE_CHUNK = 128
@@ -92,7 +96,6 @@ class BemOperator:
         self.centroids = pts[:, 0].copy()
         self.src_pos = pts.reshape(n_panels * k, 3)
         self.src_weight = wts.reshape(n_panels * k)
-        self.src_panel = np.repeat(np.arange(n_panels), k)
         self.src_normal = np.repeat(self.normals, k, axis=0)
 
         self.plan = FmmPlan(self.src_pos, self.centroids, n_crit=n_crit, theta=theta)
@@ -120,13 +123,7 @@ class BemOperator:
 
     def _find_near_pairs(self):
         """(target panel, source panel) pairs needing fine or singular rules."""
-        cutoff = NEAR_FACTOR * np.sqrt(2.0 * self.areas)
-        tree = cKDTree(self.centroids)
-        hits = tree.query_ball_point(self.centroids, cutoff, return_sorted=True)
-        lengths = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
-        targets = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp,
-                              count=lengths.sum())
-        return np.column_stack([targets, np.repeat(np.arange(len(hits)), lengths)])
+        return _radius_pairs(self.centroids, NEAR_FACTOR * np.sqrt(2.0 * self.areas))
 
     @staticmethod
     def _pair_rule_sums(kind, tgt, pts, wts, normals):
@@ -185,16 +182,7 @@ class BemOperator:
             deltas[self_sel] += Q.integrate_singular_laplace(pv[j])
         elif kind is KernelKind.STOKESLET:
             deltas[self_sel] += Q.integrate_singular_stokeslet(pv[j])
-        ti, sj = self._near_pairs[:, 0], self._near_pairs[:, 1]
-        if kind.scalar:
-            rows, cols, vals = ti, sj, deltas
-        else:
-            a, b = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
-            rows = (3 * ti[:, None, None] + a[None]).ravel()
-            cols = (3 * sj[:, None, None] + b[None]).ravel()
-            vals = deltas.ravel()
-        n = 3 * self.n_panels if self.formulation is Formulation.STOKES else self.n_panels
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        return BlockCsr(self._near_pairs[:, 0], self._near_pairs[:, 1], deltas, self.n_panels)
 
     # -- kernel-layer applications ---------------------------------------------
 
@@ -205,9 +193,10 @@ class BemOperator:
         (identical arithmetic for the near corrections).
         """
         if kind.scalar:
-            density = self.src_weight * x[self.src_panel]
+            density = self.src_weight * np.repeat(x, Q.FAR_RULE.n_points)
         else:
-            density = self.src_weight[:, None] * x.reshape(self.n_panels, 3)[self.src_panel]
+            density = self.src_weight[:, None] * np.repeat(x.reshape(self.n_panels, 3),
+                                                           Q.FAR_RULE.n_points, axis=0)
         channel_sum = (self._dense_potential if dense
                        else functools.partial(self.plan.channel_sum, p=p))
         u = kernels.kernel_sum(kind, channel_sum, self.src_pos, density, self.centroids,
@@ -276,3 +265,95 @@ class BemOperator:
         """Net surface force sum_j area_j t_j for a traction field (P, 3)."""
         t = np.asarray(traction, dtype=float).reshape(self.n_panels, 3)
         return np.einsum("p,pi->i", self.areas, t)
+
+
+def _radius_pairs(points, radius):
+    """(target, source) index pairs with |points[t] - points[s]| <= radius[s].
+
+    Sorted by source, then by target.  A uniform grid of cells of the largest
+    radius bins the points, so every target of a source lies in the 27 cells
+    around the source's own; the squared distance is summed x, y, z in that
+    order, as a k-d tree ball query sums it.
+    """
+    n = len(points)
+    cell = ((points - points.min(axis=0)) // radius.max()).astype(np.int64) + 1
+    dims = cell.max(axis=0) + 2          # an empty margin cell on every side
+    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    order = np.argsort(key)
+    sorted_points = points[order].T.copy()
+    cells, cell_of, size = np.unique(key, return_inverse=True, return_counts=True)
+    # first sorted point and size of the 27 cells around each occupied cell
+    around = cells[:, None] + _NEIGHBOUR_CELLS @ [dims[1] * dims[2], dims[2], 1]
+    j = np.minimum(np.searchsorted(cells, around), len(cells) - 1)
+    first = (np.cumsum(size) - size)[j]
+    size = np.where(cells[j] == around, size[j], 0)
+    cell_of = cell_of.ravel()
+    candidates = size[cell_of].sum(axis=1)
+    starts = np.cumsum(candidates) - candidates
+    bounds = np.unique(np.searchsorted(starts, np.arange(0, starts[-1] + 1, NEAR_SEARCH_CHUNK)))
+    codes = []
+    for lo, hi in zip(bounds, np.append(bounds[1:], n)):
+        count = size[cell_of[lo:hi]].ravel()
+        per_source = candidates[lo:hi]
+        pos = (np.repeat(first[cell_of[lo:hi]].ravel() - (np.cumsum(count) - count), count)
+               + np.arange(count.sum()))
+        d2 = np.zeros(len(pos))
+        for axis in range(3):
+            d = np.take(sorted_points[axis], pos)
+            d -= np.repeat(points[lo:hi, axis], per_source)
+            d *= d
+            d2 += d
+        code = np.repeat(np.arange(lo, hi) * n, per_source) + np.take(order, pos)
+        code = code[d2 <= np.repeat(radius[lo:hi] ** 2, per_source)]
+        code.sort()
+        codes.append(code)
+    sources, targets = np.divmod(np.concatenate(codes), n)
+    return np.column_stack([targets, sources])
+
+
+class BlockCsr:
+    """Sparse matrix of b x b blocks, stored by block row, applied with numpy.
+
+    Block rows are stored grouped by their number of blocks, so each group
+    is one dense array and ``@`` is one gather and one batched dot product
+    per group.  Stored row r is block row ``rows[r]``.  The b scalar rows of
+    a block row share one column list, ``indices[indptr[r]:indptr[r + 1]]``,
+    and ``data`` holds their values in that order, one scalar row after the
+    other.  ``nnz`` counts scalar entries.
+    """
+
+    def __init__(self, rows, cols, blocks, n):
+        """rows, cols (nb,) block indices; blocks (nb,) or (nb, b, b); n block rows."""
+        blocks = np.asarray(blocks, dtype=float)
+        b = 1 if blocks.ndim == 1 else blocks.shape[-1]
+        length = np.bincount(rows, minlength=n)
+        self.rows = np.argsort(length, kind="stable")
+        rank = np.empty(n, dtype=np.intp)
+        rank[self.rows] = np.arange(n)
+        order = np.argsort(rank[rows] * n + cols)
+        width = b * length[self.rows]            # columns of each stored row
+        self.indptr = np.concatenate([[0], np.cumsum(width)])
+        self.indices = (b * cols[order][:, None] + np.arange(b)).ravel()
+        self.data = np.empty(b * len(self.indices))
+        self.block_size = b
+        self._groups = []
+        starts = np.flatnonzero(np.diff(width, prepend=-1))
+        for lo, hi in zip(starts, np.append(starts[1:], n)):
+            e0, e1 = self.indptr[lo], self.indptr[hi]
+            d = self.data[b * e0:b * e1].reshape(hi - lo, b, width[lo])
+            # (rows, blocks, b, b) -> (rows, b, blocks * b)
+            d[...] = (blocks[order[e0 // b:e1 // b]].reshape(hi - lo, -1, b, b)
+                      .transpose(0, 2, 1, 3).reshape(d.shape))
+            self._groups.append((lo, hi, self.indices[e0:e1].reshape(hi - lo, -1), d))
+
+    @property
+    def nnz(self):
+        return self.data.size
+
+    def __matmul__(self, x):
+        y = np.empty((len(self.rows), self.block_size))
+        for lo, hi, columns, values in self._groups:
+            np.einsum("ram,rm->ra", values, np.take(x, columns), out=y[lo:hi])
+        out = np.empty_like(y)
+        out[self.rows] = y
+        return out.reshape(-1)

@@ -19,13 +19,14 @@ and the gradient shift rules
 * dz I_n^m = -I_{n+1}^m, (dx + i dy) I_n^m = I_{n+1}^{m+1},
   (dx - i dy) I_n^m = -I_{n+1}^{m-1}
 
-:func:`regular` and :func:`irregular` return these as flat complex arrays;
-they are the definitions.  Everything the solver runs works on the packed
-real form instead.  Sources are real, so every coefficient set obeys
-c_n^{-m} = (-1)^m conj(c_n^m) and half of it is redundant: a packed array
-has the same ``(p+1)^2`` length and index, with slot ``(n, m >= 0)`` holding
-Re c_n^m and slot ``(n, -m)`` holding Im c_n^m.  A real sum over the full
-index then becomes a weighted dot product of packed arrays:
+These complex harmonics are the definitions; the tests keep them as the
+reference (``tests/harmonics_reference.py``).  Everything the solver runs
+works on the packed real form instead.  Sources are real, so every
+coefficient set obeys c_n^{-m} = (-1)^m conj(c_n^m) and half of it is
+redundant: a packed array has the same ``(p+1)^2`` length and index, with
+slot ``(n, m >= 0)`` holding Re c_n^m and slot ``(n, -m)`` holding Im c_n^m.
+A real sum over the full index then becomes a weighted dot product of
+packed arrays:
 
 * sum_nm L_n^m R_n^m       = sum_s w_s L_s R_s,  w = 1 (m = 0), 2 (m > 0),
   -2 (m < 0 slots)
@@ -34,8 +35,8 @@ index then becomes a weighted dot product of packed arrays:
 Every translation is a real ``(p+1)^2 x (p+1)^2`` matrix whose entries are
 signed entries of one packed harmonic grid, summed in pairs, and reflecting
 the offset in an axis only flips signs of its rows and columns.  Gradients
-and dipole sources act on coefficients through sparse matrices with at most
-two entries per slot and axis.
+and dipole sources act on coefficients through index and weight tables:
+each output slot is a weighted sum of at most two input slots per axis.
 
 All functions are batched over the leading axis and stateless.
 """
@@ -43,7 +44,6 @@ All functions are batched over the leading axis and stateless.
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 
 def num_coeffs(p):
@@ -52,56 +52,6 @@ def num_coeffs(p):
 
 def flat_index(n, m):
     return n * n + n + m
-
-
-def regular(vecs, p):
-    """R_n^m for a batch of vectors, shape (N, (p+1)^2)."""
-    v = np.atleast_2d(np.asarray(vecs, dtype=float))
-    x, y, z = v[:, 0], v[:, 1], v[:, 2]
-    rho2 = x * x + y * y + z * z
-    xi = x + 1j * y
-    out = np.zeros((v.shape[0], num_coeffs(p)), dtype=complex)
-    out[:, 0] = 1.0
-    for m in range(1, p + 1):
-        out[:, flat_index(m, m)] = -xi / (2 * m) * out[:, flat_index(m - 1, m - 1)]
-    for m in range(0, p):
-        out[:, flat_index(m + 1, m)] = z * out[:, flat_index(m, m)]
-    for m in range(0, p + 1):
-        for n in range(m + 2, p + 1):
-            out[:, flat_index(n, m)] = (
-                (2 * n - 1) * z * out[:, flat_index(n - 1, m)]
-                - rho2 * out[:, flat_index(n - 2, m)]
-            ) / ((n + m) * (n - m))
-    for n in range(1, p + 1):
-        for m in range(1, n + 1):
-            out[:, flat_index(n, -m)] = (-1) ** m * np.conj(out[:, flat_index(n, m)])
-    return out
-
-
-def irregular(vecs, p):
-    """I_n^m for a batch of vectors, shape (N, (p+1)^2).  Vectors must be nonzero."""
-    v = np.atleast_2d(np.asarray(vecs, dtype=float))
-    x, y, z = v[:, 0], v[:, 1], v[:, 2]
-    rho2 = x * x + y * y + z * z
-    xi = x + 1j * y
-    out = np.zeros((v.shape[0], num_coeffs(p)), dtype=complex)
-    out[:, 0] = 1.0 / np.sqrt(rho2)
-    for m in range(1, p + 1):
-        out[:, flat_index(m, m)] = (
-            -(2 * m - 1) * xi / rho2 * out[:, flat_index(m - 1, m - 1)]
-        )
-    for m in range(0, p):
-        out[:, flat_index(m + 1, m)] = (2 * m + 1) * z / rho2 * out[:, flat_index(m, m)]
-    for m in range(0, p + 1):
-        for n in range(m + 2, p + 1):
-            out[:, flat_index(n, m)] = (
-                (2 * n - 1) * z * out[:, flat_index(n - 1, m)]
-                - ((n - 1) ** 2 - m * m) * out[:, flat_index(n - 2, m)]
-            ) / rho2
-    for n in range(1, p + 1):
-        for m in range(1, n + 1):
-            out[:, flat_index(n, -m)] = (-1) ** m * np.conj(out[:, flat_index(n, m)])
-    return out
 
 
 # -- packed real form -----------------------------------------------------------
@@ -261,23 +211,6 @@ def reflection_signs(p):
     return out
 
 
-def translation_matrix(kind, d, p):
-    """Dense packed ((p+1)^2, (p+1)^2) translation operator for offset d.
-
-    kind: 'm2m' or 'l2l' (d = child_center - parent_center, applied as
-    coeffs_new = coeffs_old @ T.T) or 'm2l' (d = target_center - source_center).
-    """
-    if kind not in _TRANSLATIONS:
-        raise ValueError(f"unknown translation kind {kind!r}")
-    d = np.asarray(d, dtype=float)[None, :]
-    if kind == "m2l":
-        grid = signed_grid(packed_irregular(d, 2 * p)[0])
-    else:
-        grid = signed_grid(packed_regular(d, p)[0])
-    T = assemble(grid, translation_maps(kind, p))
-    return row_sign(p)[:, None] * T if kind == "m2l" else T
-
-
 # -- gradients and dipoles on coefficients ---------------------------------------
 
 # Complex shift rules as (dn, [(dm, factor), ...]) per axis: the output slot
@@ -293,17 +226,8 @@ _SHIFTS = {
 }
 
 
-@lru_cache(maxsize=8)
-def shift_matrix(kind, p):
-    """Sparse packed matrix of the gradient or dipole shifts.
-
-    'local': order p -> three order-p sets stacked (the n = p rows are zero),
-    so that sum_s w_s X_s R_s with X a shifted set is d/dx_a of the local
-    field.  'multipole': order p + 1 (input zero-padded from p) -> three
-    order-(p+1) sets.  'dipole': three order-p moment sets flattened to
-    3 (p+1)^2 -> one order-p multipole set.  Each row has at most two
-    entries per axis.
-    """
+def _shift_entries(kind, p):
+    """(rows, cols, values) of the packed shift operator, duplicates unsummed."""
     dn, axes = _SHIFTS[kind]
     q = p + 1 if kind == "multipole" else p
     size = num_coeffs(q)
@@ -324,24 +248,50 @@ def shift_matrix(kind, p):
                     rows.append(np.flatnonzero(ok) + a * size)
                     cols.append(slot)
                 vals.append(np.real(out_w[ok] * factor * w))
-    shape = (size, 3 * size) if kind == "dipole" else (3 * size, size)
-    B = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=shape)
-    B.eliminate_zeros()
-    return B
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+@lru_cache(maxsize=8)
+def shift_terms(kind, p):
+    """Index and weight tables of the packed gradient or dipole shifts.
+
+    'local': order p -> three order-p sets stacked (the n = p slots are
+    zero), so that sum_s w_s X_s R_s with X a shifted set is d/dx_a of the
+    local field.  'multipole': order p + 1 (input zero-padded from p) ->
+    three order-(p+1) sets.  'dipole': three order-p moment sets flattened
+    to 3 (p+1)^2 -> one order-p multipole set.
+
+    Returns (index, weight), both (K, S_out): output slot r is
+    sum_k weight[k, r] * input[index[k, r]].  K is at most 2 for 'local' and
+    'multipole' and 5 for 'dipole'; unused terms have weight 0.
+    """
+    rows, cols, vals = _shift_entries(kind, p)
+    q = p + 1 if kind == "multipole" else p
+    n_in, n_out = num_coeffs(q), 3 * num_coeffs(q)
+    if kind == "dipole":
+        n_in, n_out = n_out, n_in
+    # sum repeated (row, col) entries and drop the zeros, in row-major order
+    codes, inverse = np.unique(rows * n_in + cols, return_inverse=True)
+    vals = np.bincount(inverse.ravel(), weights=vals, minlength=len(codes))
+    keep = vals != 0.0
+    codes, vals = codes[keep], vals[keep]
+    rows, cols = np.divmod(codes, n_in)
+    counts = np.bincount(rows, minlength=n_out)
+    term = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.zeros((counts.max(initial=0), n_out), dtype=np.intp)
+    weight = np.zeros(index.shape)
+    index[term, rows] = cols
+    weight[term, rows] = vals
+    return index, weight
 
 
 def _apply_shift(X, kind, p):
     """(..., k, S_out) shifted sets of the coefficients X (..., S_in)."""
-    B = shift_matrix(kind, p)
+    index, weight = shift_terms(kind, p)
     flat = X.reshape(-1, X.shape[-1])
-    out = (B @ flat.T).T
+    terms = np.take(flat, index.ravel(), axis=1).reshape((len(flat),) + index.shape)
+    out = np.einsum("bks,ks->bs", terms, weight)
     return out.reshape(X.shape[:-1] + (-1, num_coeffs(p + 1 if kind == "multipole" else p)))
-
-
-def _slot_weights(p, multipole):
-    _, m = _slots(p)
-    return np.where(m == 0, 1.0, np.where((m > 0) | multipole, 2.0, -2.0))
 
 
 def dipole_shift(moments, p):
@@ -361,54 +311,9 @@ def local_field_coeffs(coeffs, p, want_gradient=False):
     (potential) or 4 (potential, d/dx, d/dy, d/dz), slot weights included, so
     that ``rows @ packed_regular(rel, p).T`` is the field at ``rel``.
     """
-    w = _slot_weights(p, multipole=False)
+    _, m = _slots(p)
+    w = np.where(m == 0, 1.0, np.where(m > 0, 2.0, -2.0))
     pot = (coeffs * w)[..., None, :]
     if not want_gradient:
         return pot
     return np.concatenate([pot, _apply_shift(coeffs, "local", p) * w], axis=-2)
-
-
-def particle_to_multipole(rel_pos, charges, p, dipoles=None):
-    """Packed multipole coefficients of point charges (and optional dipoles).
-
-    rel_pos: (N, 3) positions relative to the expansion center.
-    charges: (..., N) weights, leading axes are broadcast channels.
-    dipoles: optional (..., N, 3) dipole moments (normal-derivative sources).
-    Returns coefficients shaped (..., (p+1)^2).
-    """
-    reg = packed_regular(rel_pos, p)
-    coeffs = np.asarray(charges, dtype=float) @ reg
-    if dipoles is not None:
-        moments = np.swapaxes(np.asarray(dipoles, dtype=float), -1, -2) @ reg
-        coeffs = coeffs + dipole_shift(moments, p)
-    return coeffs
-
-
-def multipole_to_point(coeffs, rel_pos, p, want_gradient=False):
-    """Evaluate a packed multipole expansion at points relative to its center.
-
-    coeffs: ((p+1)^2,) or (C, (p+1)^2); rel_pos: (N, 3).  Returns (N,) or
-    (C, N) potentials and, if requested, gradients with a trailing 3-axis.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    q = p + 1 if want_gradient else p
-    w = _slot_weights(q, multipole=True)
-    padded = np.zeros(c.shape[:-1] + (num_coeffs(q),))
-    padded[..., :num_coeffs(p)] = c
-    rows = (padded * w)[..., None, :]
-    if want_gradient:
-        rows = np.concatenate([rows, _apply_shift(padded, "multipole", p) * w], axis=-2)
-    return _field(rows @ packed_irregular(rel_pos, q).T, want_gradient)
-
-
-def local_to_point(coeffs, rel_pos, p, want_gradient=False):
-    """Evaluate a packed local expansion at points relative to its center."""
-    rows = local_field_coeffs(np.asarray(coeffs, dtype=float), p, want_gradient)
-    return _field(rows @ packed_regular(rel_pos, p).T, want_gradient)
-
-
-def _field(values, want_gradient):
-    """(..., k, N) field rows -> potential (..., N) and gradient (..., N, 3)."""
-    if not want_gradient:
-        return values[..., 0, :]
-    return values[..., 0, :], np.moveaxis(values[..., 1:, :], -2, -1)

@@ -11,7 +11,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .quadrature import panel_geometry
 
@@ -59,7 +58,14 @@ class Mesh:
         return Mesh(self.vertices + np.asarray(offset, dtype=float), self.triangles)
 
     def rotated(self, rotation):
-        return Mesh(rotation.apply(self.vertices), self.triangles)
+        """The mesh turned by a proper rotation matrix (3, 3) about the origin."""
+        R = np.asarray(rotation, dtype=float)
+        if R.shape != (3, 3):
+            raise ValueError(f"rotation must be a (3, 3) matrix, got shape {R.shape}")
+        if (not np.allclose(R @ R.T, np.eye(3), rtol=0.0, atol=1e-12)
+                or abs(np.linalg.det(R) - 1.0) > 1e-12):
+            raise ValueError("rotation must be orthogonal with determinant +1")
+        return Mesh(self.vertices @ R.T, self.triangles)
 
 
 _OCTA_VERTS = np.array(
@@ -135,6 +141,21 @@ def make_rbc(level, scale=RBC_SCALE, shape=RBC_SHAPE):
     return Mesh(rbc_transform(sphere.vertices, scale, shape), sphere.triangles)
 
 
+def _random_rotation(rng):
+    """Uniformly random rotation matrix from a normalised Gaussian quaternion.
+
+    The four normal draws of ``rng`` are read as (x, y, z, w), w the scalar
+    part, as scipy's ``Rotation.random`` reads them.
+    """
+    q = rng.normal(size=4)
+    x, y, z, w = q / np.linalg.norm(q)
+    return np.array([
+        [x * x - y * y - z * z + w * w, 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), -x * x + y * y - z * z + w * w, 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), -x * x - y * y + z * z + w * w],
+    ])
+
+
 def make_scene(n_bodies, level, radius=1.0, spacing_margin=0.05, seed=0):
     """Several randomly oriented spheres packed without overlap.
 
@@ -154,8 +175,7 @@ def make_scene(n_bodies, level, radius=1.0, spacing_margin=0.05, seed=0):
     verts, tris = [], []
     offset = 0
     for c in centers:
-        rot = Rotation.random(rng=rng)
-        body = base.rotated(rot).translated(c)
+        body = base.rotated(_random_rotation(rng)).translated(c)
         verts.append(body.vertices)
         tris.append(body.triangles + offset)
         offset += len(body.vertices)

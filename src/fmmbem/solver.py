@@ -41,6 +41,8 @@ class RelaxationSchedule:
     relaxed: bool = True
 
     def __post_init__(self):
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError(f"eta must be finite and positive, got {self.eta}")
         if not 0 <= self.p_min <= self.p_initial:
             raise ValueError(f"need 0 <= p_min <= p_initial, got p_min={self.p_min}, "
                              f"p_initial={self.p_initial}")

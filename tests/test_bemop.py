@@ -1,11 +1,16 @@
 """Boundary operators: sphere identities, dense agreement, small solves."""
 
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from fmmbem import bemop
 from fmmbem import mesh as M
+from fmmbem import quadrature as Q
 from fmmbem import solver
 from fmmbem.bemop import BemOperator, Formulation
 
@@ -127,6 +132,66 @@ def test_near_pairs_match_brute_force():
     pairs = op._near_pairs
     assert pairs.dtype == np.intp
     np.testing.assert_array_equal(pairs, ref)
+
+
+@pytest.mark.parametrize("make_mesh", [
+    lambda: M.make_sphere(3), lambda: M.make_sphere(5), lambda: M.make_scene(6, 3, seed=3),
+])
+def test_near_pairs_match_kd_tree_ball_query(make_mesh):
+    """The grid search returns the k-d tree's pairs, in its order."""
+    mesh = make_mesh()
+    pts, _ = Q.quadrature_points(mesh.panel_vertices, Q.FAR_RULE)
+    centroids = pts[:, 0]
+    cutoff = bemop.NEAR_FACTOR * np.sqrt(2.0 * mesh.geometry()[2])
+    hits = cKDTree(centroids).query_ball_point(centroids, cutoff, return_sorted=True)
+    ref = np.column_stack([np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp),
+                           np.repeat(np.arange(len(hits)), [len(h) for h in hits])])
+    np.testing.assert_array_equal(bemop._radius_pairs(centroids, cutoff), ref)
+
+
+def _scipy_blocks(rows, cols, blocks, n):
+    """The same block triplets as one scalar scipy CSR matrix."""
+    if blocks.ndim == 1:
+        return sp.csr_matrix((blocks, (rows, cols)), shape=(n, n))
+    a, b = np.meshgrid(np.arange(3), np.arange(3), indexing="ij")
+    return sp.csr_matrix((blocks.ravel(), ((3 * rows[:, None, None] + a).ravel(),
+                                           (3 * cols[:, None, None] + b).ravel())),
+                         shape=(3 * n, 3 * n))
+
+
+@pytest.mark.parametrize("formulation", [Formulation.LAPLACE_FIRST, Formulation.STOKES])
+def test_correction_matches_scipy_csr(sphere3, monkeypatch, formulation):
+    """For all four kernels, BlockCsr @ x equals scipy's CSR of the same triplets."""
+    built = []
+    block_csr = bemop.BlockCsr
+
+    def recording(rows, cols, blocks, n):
+        built.append((rows, cols, blocks, n))
+        return block_csr(rows, cols, blocks, n)
+
+    monkeypatch.setattr(bemop, "BlockCsr", recording)
+    op = BemOperator(sphere3, formulation)
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, size=op.shape[0])
+    for mat, triplets in zip((op._c_sys, op._c_rhs), built):
+        ref = _scipy_blocks(*triplets)
+        assert mat.nnz == ref.nnz
+        np.testing.assert_allclose(mat @ x, ref @ x, rtol=1e-14, atol=1e-14 * np.abs(ref @ x).max())
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_block_csr_uneven_and_empty_rows(block):
+    """Rows of every length, empty rows included, against scipy's CSR."""
+    rng = np.random.default_rng(block)
+    n = 40
+    dense = rng.random((n, n)) < np.linspace(0.0, 0.5, n)[:, None]
+    rows, cols = np.nonzero(dense)
+    shape = (len(rows),) if block == 1 else (len(rows), 3, 3)
+    blocks = rng.uniform(-1.0, 1.0, size=shape)
+    mat = bemop.BlockCsr(rows, cols, blocks, n)
+    ref = _scipy_blocks(rows, cols, blocks, n)
+    x = rng.uniform(-1.0, 1.0, size=block * n)
+    assert mat.nnz == ref.nnz
+    np.testing.assert_allclose(mat @ x, ref @ x, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("kwargs, match", [

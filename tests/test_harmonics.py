@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import harmonics_reference as HR
 from fmmbem import harmonics as H
 from fmmbem.kernels import FOUR_PI, direct_sum, KernelKind
 
@@ -23,8 +25,8 @@ def test_expansion_identity_converges():
     ref = direct_sum(KernelKind.LAPLACE_SINGLE, src, q, tgt)
     errs = []
     for p in (4, 8, 12):
-        exp = H.particle_to_multipole(src, q, p)
-        val = H.multipole_to_point(exp, tgt, p) / FOUR_PI
+        exp = HR.particle_to_multipole(src, q, p)
+        val = HR.multipole_to_point(exp, tgt, p) / FOUR_PI
         errs.append(np.max(np.abs(val - ref) / np.abs(ref)))
     assert errs[0] < 1e-2
     assert errs[1] < errs[0] / 10
@@ -38,9 +40,9 @@ def test_dipole_expansion_matches_double_layer():
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     tgt = np.array([[2.2, -0.1, 0.5]])
     ref = direct_sum(KernelKind.LAPLACE_DOUBLE, src, q, tgt, normals=normals)
-    exp = H.particle_to_multipole(src, np.zeros(len(src)), 14,
+    exp = HR.particle_to_multipole(src, np.zeros(len(src)), 14,
                                   dipoles=q[:, None] * normals)
-    val = H.multipole_to_point(exp, tgt, 14) / FOUR_PI
+    val = HR.multipole_to_point(exp, tgt, 14) / FOUR_PI
     assert abs(val[0] - ref[0]) < 1e-9 * abs(ref[0]) + 1e-14
 
 
@@ -50,9 +52,9 @@ def test_m2m_is_exact():
     q = RNG.uniform(-1.0, 1.0, size=len(src))
     p = 8
     shifted_center = np.array([0.3, -0.2, 0.1])
-    direct = H.particle_to_multipole(src - shifted_center, q, p)
-    T = H.translation_matrix("m2m", -shifted_center, p)
-    via_shift = H.particle_to_multipole(src, q, p) @ T.T
+    direct = HR.particle_to_multipole(src - shifted_center, q, p)
+    T = HR.translation_matrix("m2m", -shifted_center, p)
+    via_shift = HR.particle_to_multipole(src, q, p) @ T.T
     np.testing.assert_allclose(via_shift, direct, atol=1e-12)
 
 
@@ -61,11 +63,11 @@ def test_l2l_is_exact():
     q = RNG.uniform(-1.0, 1.0, size=len(src))
     p = 8
     center, moved_center = np.array([3.0, 0.0, 0.0]), np.array([3.1, 0.05, -0.1])
-    local = H.particle_to_multipole(src, q, p) @ H.translation_matrix("m2l", center, p).T
-    moved = local @ H.translation_matrix("l2l", moved_center - center, p).T
+    local = HR.particle_to_multipole(src, q, p) @ HR.translation_matrix("m2l", center, p).T
+    moved = local @ HR.translation_matrix("l2l", moved_center - center, p).T
     tgt = np.array([[3.15, 0.1, -0.05]])
-    np.testing.assert_allclose(H.local_to_point(moved, tgt - moved_center, p),
-                               H.local_to_point(local, tgt - center, p), rtol=1e-12)
+    np.testing.assert_allclose(HR.local_to_point(moved, tgt - moved_center, p),
+                               HR.local_to_point(local, tgt - center, p), rtol=1e-12)
 
 
 def test_m2l_converges():
@@ -76,8 +78,8 @@ def test_m2l_converges():
     errs = []
     for p in (4, 10):
         center = np.array([3.0, 0.0, 0.0])
-        local = H.particle_to_multipole(src, q, p) @ H.translation_matrix("m2l", center, p).T
-        val = H.local_to_point(local, tgt - center, p) / FOUR_PI
+        local = HR.particle_to_multipole(src, q, p) @ HR.translation_matrix("m2l", center, p).T
+        val = HR.local_to_point(local, tgt - center, p) / FOUR_PI
         errs.append(np.max(np.abs(val - ref) / np.abs(ref)))
     assert errs[0] < 1e-2
     assert errs[1] < 1e-6
@@ -88,19 +90,19 @@ def test_gradients_match_finite_differences(which):
     src = _cluster()
     q = RNG.uniform(-1.0, 1.0, size=len(src))
     p = 10
-    exp = H.particle_to_multipole(src, q, p)
+    exp = HR.particle_to_multipole(src, q, p)
     if which == "local":
         center = np.array([2.5, 0.1, 0.0])
-        exp = exp @ H.translation_matrix("m2l", center, p).T
+        exp = exp @ HR.translation_matrix("m2l", center, p).T
         tgt = np.array([[2.6, 0.2, -0.1]])
 
         def evaluate(x, want_gradient=False):
-            return H.local_to_point(exp, x - center, p, want_gradient)
+            return HR.local_to_point(exp, x - center, p, want_gradient)
     else:
         tgt = np.array([[2.0, 0.4, -0.3]])
 
         def evaluate(x, want_gradient=False):
-            return H.multipole_to_point(exp, x, p, want_gradient)
+            return HR.multipole_to_point(exp, x, p, want_gradient)
     _, grad = evaluate(tgt, want_gradient=True)
     h = 1e-6
     for axis in range(3):
@@ -121,7 +123,7 @@ def test_flat_index_layout():
 def test_regular_conjugate_symmetry():
     """R_n^{-m} = (-1)^m conj(R_n^m)."""
     p = 6
-    reg = H.regular(RNG.normal(size=(5, 3)), p)
+    reg = HR.regular(RNG.normal(size=(5, 3)), p)
     for n in range(p + 1):
         for m in range(n + 1):
             a = reg[:, H.flat_index(n, -m)]
@@ -170,21 +172,21 @@ def test_packed_forms_match_complex_definition(p):
     dip = rng.normal(size=(len(src), 3))
 
     def complex_p2m(rel):
-        R = H.regular(rel, p)
+        R = HR.regular(rel, p)
         gx, gy, gz = _complex_gradient(R, p)
         return q @ R + dip[:, 0] @ gx + dip[:, 1] @ gy + dip[:, 2] @ gz
 
-    M = H.particle_to_multipole(src, q, p, dipoles=dip)
+    M = HR.particle_to_multipole(src, q, p, dipoles=dip)
     Mc = complex_p2m(src)
     _assert_close(_unpack(M, p), Mc)
 
     parent = np.array([0.2, -0.15, 0.1])
-    moved = M @ H.translation_matrix("m2m", -parent, p).T
+    moved = M @ HR.translation_matrix("m2m", -parent, p).T
     _assert_close(_unpack(moved, p), complex_p2m(src - parent))
 
     D = np.array([2.4, 0.7, -1.1])
-    L = M @ H.translation_matrix("m2l", D, p).T
-    irr = H.irregular(D, 2 * p)[0]
+    L = M @ HR.translation_matrix("m2l", D, p).T
+    irr = HR.irregular(D, 2 * p)[0]
     Lc = np.zeros(H.num_coeffs(p), dtype=complex)
     for j in range(p + 1):
         for k in range(-j, j + 1):
@@ -194,8 +196,8 @@ def test_packed_forms_match_complex_definition(p):
     _assert_close(_unpack(L, p), Lc)
 
     child = np.array([-0.1, 0.05, 0.2])
-    shifted = L @ H.translation_matrix("l2l", child, p).T
-    reg = H.regular(child, p)[0]
+    shifted = L @ HR.translation_matrix("l2l", child, p).T
+    reg = HR.regular(child, p)[0]
     Lc2 = np.zeros_like(Lc)
     for n in range(p + 1):
         for m in range(-n, n + 1):
@@ -205,8 +207,8 @@ def test_packed_forms_match_complex_definition(p):
     _assert_close(_unpack(shifted, p), Lc2)
 
     x = 0.3 * rng.normal(size=(6, 3))
-    pot, grad = H.local_to_point(L, x, p, want_gradient=True)
-    R = H.regular(x, p)
+    pot, grad = HR.local_to_point(L, x, p, want_gradient=True)
+    R = HR.regular(x, p)
     _assert_close(pot, np.real(R @ Lc))
     _assert_close(grad, np.stack([np.real(g @ Lc) for g in _complex_gradient(R, p)], axis=-1))
 
@@ -216,10 +218,28 @@ def test_reflected_offsets_share_one_operator(kind):
     """T(reflected d) = diag(s) T(d) diag(s) for all eight axis reflections."""
     p = 7
     d = np.array([2.2, 1.0, 3.2]) if kind == "m2l" else np.array([0.3, 0.2, 0.25])
-    base = H.translation_matrix(kind, d, p)
+    base = HR.translation_matrix(kind, d, p)
     signs = H.reflection_signs(p)
     for flip in range(8):
         mirror = np.array([-1.0 if flip >> a & 1 else 1.0 for a in range(3)])
-        T = H.translation_matrix(kind, mirror * d, p)
+        T = HR.translation_matrix(kind, mirror * d, p)
         np.testing.assert_allclose(T, signs[flip][:, None] * base * signs[flip],
                                    rtol=1e-13, atol=1e-13 * np.abs(base).max())
+
+
+@pytest.mark.parametrize("kind", ["local", "multipole", "dipole"])
+@pytest.mark.parametrize("p", [0, 1, 5, 18])
+def test_shift_tables_match_csr_product(kind, p):
+    """The index/weight tables apply the same operator as its scipy CSR matrix."""
+    rows, cols, vals = H._shift_entries(kind, p)
+    q = p + 1 if kind == "multipole" else p
+    size = H.num_coeffs(q)
+    shape = (size, 3 * size) if kind == "dipole" else (3 * size, size)
+    B = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    B.eliminate_zeros()
+    index, weight = H.shift_terms(kind, p)
+    assert index.shape[0] == np.diff(B.indptr).max(initial=0) <= (5 if kind == "dipole" else 2)
+    X = np.random.default_rng(p).uniform(-1.0, 1.0, size=(7, shape[1]))
+    ref = (B @ X.T).T
+    out = H._apply_shift(X, kind, p).reshape(ref.shape)
+    np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-15 * max(np.abs(ref).max(), 1.0))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
 from fmmbem import mesh as M
 
@@ -58,6 +59,29 @@ def test_scene_determinism_and_separation(tmp_path):
     d = np.linalg.norm(centers[:, None] - centers[None], axis=-1)
     d[np.diag_indices(4)] = np.inf
     assert d.min() > 2.0
+
+
+@pytest.mark.parametrize("n_bodies, level, seed", [(6, 3, 1), (6, 3, 3), (5, 2, 11)])
+def test_scene_matches_scipy_random_rotations(monkeypatch, n_bodies, level, seed):
+    """The quaternion draw gives the scenes scipy's Rotation.random gave."""
+    ours = M.make_scene(n_bodies, level, seed=seed)
+    monkeypatch.setattr(M, "_random_rotation", lambda rng: Rotation.random(rng=rng).as_matrix())
+    ref = M.make_scene(n_bodies, level, seed=seed)
+    np.testing.assert_allclose(ours.vertices, ref.vertices, rtol=0.0, atol=1e-14)
+    np.testing.assert_array_equal(ours.triangles, ref.triangles)
+
+
+def test_rotated_accepts_only_proper_rotations():
+    m = M.make_sphere(1)
+    c, s = np.cos(0.3), np.sin(0.3)
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    np.testing.assert_allclose(m.rotated(R).vertices, m.vertices @ R.T, rtol=0.0, atol=0.0)
+    for bad in (np.diag([1.0, 1.0, -1.0]),      # a reflection: det -1
+                2.0 * np.eye(3),                # orthogonal up to scale
+                R + 1e-9,                       # off by more than 1e-12
+                np.eye(2)):
+        with pytest.raises(ValueError, match="rotation"):
+            m.rotated(bad)
 
 
 def test_mesh_roundtrip(tmp_path):

@@ -127,6 +127,25 @@ def test_save_history(tmp_path):
     assert len(lines) == 1 + res.n_iterations
 
 
+@pytest.mark.parametrize("eta", [0.0, -1e-6, np.nan, np.inf])
+def test_schedule_rejects_bad_eta(eta):
+    """A fixed-order solve fails before its first mat-vec, not after max_iter."""
+    with pytest.raises(ValueError, match="eta"):
+        solver.RelaxationSchedule(eta=eta)
+
+    class Counting:
+        calls = 0
+
+        def apply(self, x, p):
+            self.calls += 1
+            return x
+
+    op = Counting()
+    with pytest.raises(ValueError, match="eta"):
+        solver.solve(op, np.ones(3), eta=eta, relaxed=False)
+    assert op.calls == 0
+
+
 def test_relax_eps_rejects_bad_eta():
     with pytest.raises(ValueError):
         solver.relax_eps(0.5, 0.0)
