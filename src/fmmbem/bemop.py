@@ -8,9 +8,12 @@ The operator action is evaluated as
 
     far Gauss points  -> multipole expansions (order p, chosen per call)
     near Gauss points -> direct kernel sums (the tree's P2P pairs)
-    + a sparse correction matrix (:class:`BlockCsr`) that replaces the
-      coarse-rule contribution of geometrically close panels by fine-rule or
-      singular integrals.
+    + a sparse correction matrix that replaces the coarse-rule contribution
+      of geometrically close panels by fine-rule or singular integrals.
+
+The system and the right-hand-side kernels each have their correction
+matrix; both come from one pass over the near panel pairs and share one
+:class:`BlockCsr` pattern.
 
 Only the expansion part depends on p, so lowering the order mid-solve leaves
 all near-field arithmetic untouched.  The right-hand side goes through the
@@ -32,15 +35,17 @@ import numpy as np
 from . import kernels
 from . import quadrature as Q
 from .fmm import FmmPlan
-from .kernels import FOUR_PI, KernelKind
+from .kernels import KernelKind
 from .mesh import check_closed, check_outward
 
 EIGHT_PI = 8.0 * np.pi
 # near-singular cutoff distance of a source panel, in units of
 # sqrt(2 * panel area): closer centroids get the fine or singular rule
 NEAR_FACTOR = 2.0
-# near pairs per block of the correction matrix's batched rule sums
-CORRECTION_CHUNK = 16384
+# near pairs per block of the correction matrices' batched rule sums
+CORRECTION_CHUNK = 2048
+# the two correction matrices of an operator: apply's and assemble_rhs's
+SYSTEM, RHS = 0, 1
 # candidate pairs per block of the near-pair search: its temporaries stay in
 # cache, and larger blocks run slower
 NEAR_SEARCH_CHUNK = 32768
@@ -99,7 +104,6 @@ class BemOperator:
         self.src_normal = np.repeat(self.normals, k, axis=0)
 
         self.plan = FmmPlan(self.src_pos, self.centroids, n_crit=n_crit, theta=theta)
-        self._near_pairs = self._find_near_pairs()
         stokes = self.formulation is Formulation.STOKES
         sys_kind = KernelKind.STOKESLET if stokes else KernelKind.LAPLACE_SINGLE
         rhs_kind = KernelKind.STRESSLET if stokes else KernelKind.LAPLACE_DOUBLE
@@ -107,8 +111,7 @@ class BemOperator:
             sys_kind, rhs_kind = rhs_kind, sys_kind
         self._sys_kind = sys_kind
         self._rhs_kind = rhs_kind
-        self._c_sys = self._correction_matrix(sys_kind)
-        self._c_rhs = self._correction_matrix(rhs_kind)
+        self._corrections = self._correction_matrix(self._find_near_pairs())
 
     @property
     def n_panels(self):
@@ -125,70 +128,55 @@ class BemOperator:
         """(target panel, source panel) pairs needing fine or singular rules."""
         return _radius_pairs(self.centroids, NEAR_FACTOR * np.sqrt(2.0 * self.areas))
 
-    @staticmethod
-    def _pair_rule_sums(kind, tgt, pts, wts, normals):
-        """Batched quadrature sums: one target and one point set per pair.
+    def _correction_matrix(self, pairs):
+        """Sparse fix-ups of both kernels: fine/singular integral minus the coarse
+        contribution, for each (target, source) near pair.
 
-        tgt (Np, 3), pts (Np, K, 3), wts (Np, K), normals (Np, 3).  Pairs with
-        a coincident point contribute zero from that point.  Returns (Np,) or
-        (Np, 3, 3).
-        """
-        r = tgt[:, None, :] - pts
-        d2 = np.einsum("pki,pki->pk", r, r)
-        inv = np.zeros_like(d2)
-        np.divide(1.0, np.sqrt(d2), out=inv, where=d2 > 0.0)
-        if kind is KernelKind.LAPLACE_SINGLE:
-            return np.einsum("pk,pk->p", wts, inv) / FOUR_PI
-        if kind is KernelKind.LAPLACE_DOUBLE:
-            rn = np.einsum("pki,pi->pk", r, normals)
-            return np.einsum("pk,pk,pk->p", wts, rn, inv ** 3) / FOUR_PI
-        if kind is KernelKind.STOKESLET:
-            diag = np.einsum("pk,pk->p", wts, inv)
-            outer = np.einsum("pk,pki,pkj->pij", wts * inv ** 3, r, r)
-            return np.eye(3)[None] * diag[:, None, None] + outer
-        rn = np.einsum("pki,pi->pk", r, normals)
-        return 6.0 * np.einsum("pk,pki,pkj->pij", wts * rn * inv ** 5, r, r)
-
-    def _correction_matrix(self, kind):
-        """Sparse fix-up: fine/singular integral minus the coarse contribution.
-
-        The coarse contribution of the self panel excludes its centroid Gauss
-        point (the direct pass produces a zero for that coincident pair).
+        Returns one :class:`BlockCsr` of two matrices, SYSTEM and RHS.  Each
+        pair sums one rule of 23 points: the source panel's 4 coarse points
+        with negated weights and its 19 fine points.  The coarse contribution
+        of the self panel excludes its centroid Gauss point (the direct pass
+        produces a zero for that coincident pair).
         """
         pv = self.mesh.panel_vertices
         k = Q.FAR_RULE.n_points
-        n_pairs = len(self._near_pairs)
-        deltas = np.zeros(n_pairs) if kind.scalar else np.zeros((n_pairs, 3, 3))
+        kinds = (self._sys_kind, self._rhs_kind)
         fine_pts, fine_wts = Q.quadrature_points(pv, Q.NEAR_RULE)
-        for lo in range(0, n_pairs, CORRECTION_CHUNK):
-            pr = self._near_pairs[lo:lo + CORRECTION_CHUNK]
-            ti, sj = pr[:, 0], pr[:, 1]
-            x = self.centroids[ti]
-            nj = self.normals[sj]
-            coarse = self._pair_rule_sums(
-                kind, x,
-                self.src_pos.reshape(-1, k, 3)[sj],
-                self.src_weight.reshape(-1, k)[sj], nj,
-            )
-            fine = self._pair_rule_sums(kind, x, fine_pts[sj], fine_wts[sj], nj)
+        # each panel's coarse points, then its fine ones, coordinate-major as
+        # rule_sums takes them
+        pts = np.empty((self.n_panels, 3, k + Q.NEAR_RULE.n_points))
+        pts[:, :, :k] = self.src_pos.reshape(-1, k, 3).transpose(0, 2, 1)
+        pts[:, :, k:] = fine_pts.transpose(0, 2, 1)
+        wts = np.concatenate([-self.src_weight.reshape(-1, k), fine_wts], axis=1)
+        del fine_pts, fine_wts
+        singular = {KernelKind.LAPLACE_SINGLE: Q.integrate_singular_laplace,
+                    KernelKind.STOKESLET: Q.integrate_singular_stokeslet}
+        self_integrals = [singular[kind](pv) if kind in singular else None for kind in kinds]
+        ti, sj = pairs[:, 0], pairs[:, 1]
+
+        def blocks(sel):
+            t, s = ti[sel], sj[sel]
+            own = t == s
+            w = wts[s]
             # the true self integral is the singular one below, not the
             # 19-point rule; for the odd kernels it is exactly zero on a
             # flat panel
-            fine[ti == sj] = 0.0
-            deltas[lo:lo + CORRECTION_CHUNK] = fine - coarse
-        self_sel = np.flatnonzero(self._near_pairs[:, 0] == self._near_pairs[:, 1])
-        j = self._near_pairs[self_sel, 1]
-        if kind is KernelKind.LAPLACE_SINGLE:
-            deltas[self_sel] += Q.integrate_singular_laplace(pv[j])
-        elif kind is KernelKind.STOKESLET:
-            deltas[self_sel] += Q.integrate_singular_stokeslet(pv[j])
-        return BlockCsr(self._near_pairs[:, 0], self._near_pairs[:, 1], deltas, self.n_panels)
+            w[own, k:] = 0.0
+            sums = kernels.rule_sums(kinds, self.centroids[t], pts[s], w, self.normals[s])
+            for value, integral in zip(sums, self_integrals):
+                if integral is not None:
+                    value[own] += integral[s[own]]
+            return sums
+
+        return BlockCsr(ti, sj, self.n_panels, blocks, block_size=1 if kinds[0].scalar else 3,
+                        count=len(kinds))
 
     # -- kernel-layer applications ---------------------------------------------
 
     def _layer_apply(self, kind, x, p, correction, dense):
         """Quadrature-discretized layer potential at the centroids.
 
+        correction is SYSTEM or RHS, the correction matrix of the kernel.
         dense=True replaces the tree evaluation by chunked direct sums
         (identical arithmetic for the near corrections).
         """
@@ -201,7 +189,7 @@ class BemOperator:
                        else functools.partial(self.plan.channel_sum, p=p))
         u = kernels.kernel_sum(kind, channel_sum, self.src_pos, density, self.centroids,
                                self.src_normal)
-        return u.reshape(-1) + correction @ x
+        return u.reshape(-1) + self._corrections.matvec(x, correction)
 
     def _dense_potential(self, charges, dipoles, want_gradient):
         """Direct 1/r (and dipole) sums over all Gauss points, self pair zeroed.
@@ -233,11 +221,11 @@ class BemOperator:
     def _apply(self, x, p, dense):
         f = self.formulation
         if f is Formulation.LAPLACE_FIRST:
-            return self._layer_apply(KernelKind.LAPLACE_SINGLE, x, p, self._c_sys, dense)
+            return self._layer_apply(KernelKind.LAPLACE_SINGLE, x, p, SYSTEM, dense)
         if f is Formulation.LAPLACE_SECOND:
-            d = self._layer_apply(KernelKind.LAPLACE_DOUBLE, x, p, self._c_sys, dense)
+            d = self._layer_apply(KernelKind.LAPLACE_DOUBLE, x, p, SYSTEM, dense)
             return 0.5 * x - d
-        g = self._layer_apply(KernelKind.STOKESLET, x, p, self._c_sys, dense)
+        g = self._layer_apply(KernelKind.STOKESLET, x, p, SYSTEM, dense)
         return g / (EIGHT_PI * self.mu)
 
     def assemble_rhs(self, boundary_data, p=18, dense=False):
@@ -252,13 +240,13 @@ class BemOperator:
         f = self.formulation
         if f is Formulation.LAPLACE_FIRST:
             phi = np.asarray(boundary_data, dtype=float)
-            d = self._layer_apply(KernelKind.LAPLACE_DOUBLE, phi, p, self._c_rhs, dense)
+            d = self._layer_apply(KernelKind.LAPLACE_DOUBLE, phi, p, RHS, dense)
             return 0.5 * phi - d
         if f is Formulation.LAPLACE_SECOND:
             q = np.asarray(boundary_data, dtype=float)
-            return self._layer_apply(KernelKind.LAPLACE_SINGLE, q, p, self._c_rhs, dense)
+            return self._layer_apply(KernelKind.LAPLACE_SINGLE, q, p, RHS, dense)
         u = np.asarray(boundary_data, dtype=float).reshape(-1)
-        t_u = self._layer_apply(KernelKind.STRESSLET, u, p, self._c_rhs, dense)
+        t_u = self._layer_apply(KernelKind.STRESSLET, u, p, RHS, dense)
         return 0.5 * u - t_u / EIGHT_PI
 
     def drag_force(self, traction):
@@ -312,20 +300,27 @@ def _radius_pairs(points, radius):
 
 
 class BlockCsr:
-    """Sparse matrix of b x b blocks, stored by block row, applied with numpy.
+    """Sparse matrices of b x b blocks on one pattern, stored by block row.
 
-    Block rows are stored grouped by their number of blocks, so each group
-    is one dense array and ``@`` is one gather and one batched dot product
-    per group.  Stored row r is block row ``rows[r]``.  The b scalar rows of
-    a block row share one column list, ``indices[indptr[r]:indptr[r + 1]]``,
-    and ``data`` holds their values in that order, one scalar row after the
-    other.  ``nnz`` counts scalar entries.
+    ``count`` matrices share the block positions (rows[i], cols[i]), and
+    ``matvec(x, k)`` applies matrix k with numpy.  Block rows are stored
+    grouped by their number of blocks, so each group is one dense array and
+    a product is one gather and one batched dot product per group.  Stored
+    row r is block row ``rows[r]``.  The b scalar rows of a block row share
+    one column list, ``indices[indptr[r]:indptr[r + 1]]``, and ``data[k]``
+    holds the values of matrix k in that order, one scalar row after the
+    other.  ``nnz`` counts the scalar entries of all the matrices.
     """
 
-    def __init__(self, rows, cols, blocks, n):
-        """rows, cols (nb,) block indices; blocks (nb,) or (nb, b, b); n block rows."""
-        blocks = np.asarray(blocks, dtype=float)
-        b = 1 if blocks.ndim == 1 else blocks.shape[-1]
+    def __init__(self, rows, cols, n, blocks, block_size, count):
+        """rows, cols (nb,) block indices; n block rows.
+
+        blocks(sel) returns, for an index array sel into rows and cols, a
+        list of count arrays, (len(sel),) for b = 1 or (len(sel), b, b): the
+        blocks sel of each matrix.  It is called on at most about
+        CORRECTION_CHUNK blocks at a time, so its temporaries stay small.
+        """
+        b = block_size
         length = np.bincount(rows, minlength=n)
         self.rows = np.argsort(length, kind="stable")
         rank = np.empty(n, dtype=np.intp)
@@ -334,26 +329,34 @@ class BlockCsr:
         width = b * length[self.rows]            # columns of each stored row
         self.indptr = np.concatenate([[0], np.cumsum(width)])
         self.indices = (b * cols[order][:, None] + np.arange(b)).ravel()
-        self.data = np.empty(b * len(self.indices))
+        self.data = np.empty((count, b * len(self.indices)))
         self.block_size = b
         self._groups = []
         starts = np.flatnonzero(np.diff(width, prepend=-1))
         for lo, hi in zip(starts, np.append(starts[1:], n)):
             e0, e1 = self.indptr[lo], self.indptr[hi]
-            d = self.data[b * e0:b * e1].reshape(hi - lo, b, width[lo])
-            # (rows, blocks, b, b) -> (rows, b, blocks * b)
-            d[...] = (blocks[order[e0 // b:e1 // b]].reshape(hi - lo, -1, b, b)
-                      .transpose(0, 2, 1, 3).reshape(d.shape))
-            self._groups.append((lo, hi, self.indices[e0:e1].reshape(hi - lo, -1), d))
+            per_row = length[self.rows[lo]]
+            values = [self.data[k, b * e0:b * e1].reshape(hi - lo, b, width[lo])
+                      for k in range(count)]
+            step = max(1, CORRECTION_CHUNK // max(per_row, 1))
+            for r0 in range(lo, hi, step):
+                r1 = min(r0 + step, hi)
+                sel = order[self.indptr[r0] // b:self.indptr[r1] // b]
+                for v, block in zip(values, blocks(sel)):
+                    # (rows, blocks, b, b) -> (rows, b, blocks * b)
+                    v[r0 - lo:r1 - lo] = (np.reshape(block, (r1 - r0, per_row, b, b))
+                                          .transpose(0, 2, 1, 3).reshape(r1 - r0, b, -1))
+            self._groups.append((lo, hi, self.indices[e0:e1].reshape(hi - lo, -1), values))
 
     @property
     def nnz(self):
         return self.data.size
 
-    def __matmul__(self, x):
+    def matvec(self, x, k):
+        """Matrix k times the vector x."""
         y = np.empty((len(self.rows), self.block_size))
         for lo, hi, columns, values in self._groups:
-            np.einsum("ram,rm->ra", values, np.take(x, columns), out=y[lo:hi])
+            np.einsum("ram,rm->ra", values[k], np.take(x, columns), out=y[lo:hi])
         out = np.empty_like(y)
         out[self.rows] = y
         return out.reshape(-1)

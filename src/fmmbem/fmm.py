@@ -40,9 +40,14 @@ def required_p(eps):
 def dual_traversal(src_tree, tgt_tree, theta):
     """M2L and P2P cell pair lists from a simultaneous tree descent.
 
-    A pair is accepted for M2L when (r_src + r_tgt) / distance < theta with
-    r the cell circumradius; otherwise the larger cell is split, and
-    leaf-leaf pairs go to P2P.
+    A pair is accepted for M2L when (r_src + r_tgt) < theta * distance, with
+    r = CELL_RADIUS_FACTOR times the cell half-width.  Otherwise a leaf-leaf
+    pair goes to P2P, and any other pair is replaced by the pairs of one
+    cell's children: the source cell's when it is no leaf and the target
+    cell is a leaf or no larger, else the target cell's.  The descent is
+    level-synchronous: each step tests, accepts and splits every pending
+    pair at once.  Returns (M2L pairs, P2P pairs), each an (n, 2) array of
+    (source cell, target cell).
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be in (0, 1)")
@@ -50,27 +55,24 @@ def dual_traversal(src_tree, tgt_tree, theta):
     rt = CELL_RADIUS_FACTOR * tgt_tree.half_width
     sc, tc = src_tree.center, tgt_tree.center
     s_leaf, t_leaf = src_tree.is_leaf, tgt_tree.is_leaf
-    s_kids, t_kids = src_tree.children, tgt_tree.children
     m2l_pairs, p2p_pairs = [], []
-    stack = [(0, 0)]
-    while stack:
-        s, t = stack.pop()
-        d = math.dist(sc[s], tc[t])
-        if d > 0.0 and (rs[s] + rt[t]) < theta * d:
-            m2l_pairs.append((s, t))
-            continue
-        if s_leaf[s] and t_leaf[t]:
-            p2p_pairs.append((s, t))
-            continue
-        split_src = not s_leaf[s] and (t_leaf[t] or src_tree.half_width[s] >= tgt_tree.half_width[t])
-        if split_src:
-            stack.extend((k, t) for k in s_kids[s] if k >= 0)
-        else:
-            stack.extend((s, k) for k in t_kids[t] if k >= 0)
-    as_array = lambda lst: (
-        np.asarray(lst, dtype=np.intp).reshape(-1, 2) if lst else np.empty((0, 2), dtype=np.intp)
-    )
-    return as_array(m2l_pairs), as_array(p2p_pairs)
+    s = t = np.zeros(1, dtype=np.intp)
+    while len(s):
+        diff = sc[s] - tc[t]
+        d = np.sqrt(np.einsum("ni,ni->n", diff, diff))
+        far = (d > 0.0) & (rs[s] + rt[t] < theta * d)
+        both_leaves = ~far & s_leaf[s] & t_leaf[t]
+        m2l_pairs.append(np.column_stack([s[far], t[far]]))
+        p2p_pairs.append(np.column_stack([s[both_leaves], t[both_leaves]]))
+        split = ~(far | both_leaves)
+        s, t = s[split], t[split]
+        split_src = ~s_leaf[s] & (t_leaf[t] | (src_tree.half_width[s] >= tgt_tree.half_width[t]))
+        src_kids = src_tree.children[s[split_src]]
+        tgt_kids = tgt_tree.children[t[~split_src]]
+        src_real, tgt_real = src_kids >= 0, tgt_kids >= 0
+        s = np.concatenate([src_kids[src_real], np.repeat(s[~split_src], tgt_real.sum(axis=1))])
+        t = np.concatenate([np.repeat(t[split_src], src_real.sum(axis=1)), tgt_kids[tgt_real]])
+    return np.concatenate(m2l_pairs), np.concatenate(p2p_pairs)
 
 
 def _translate(T, s, src, src_cells, dst, dst_cells):

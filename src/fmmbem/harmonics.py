@@ -127,6 +127,11 @@ def _full_terms(n, m):
     return (flat_index(n, mu), flat_index(n, -mu)), (w1, w2)
 
 
+def _odd(m):
+    """(-1)^m of integer arrays, as integers."""
+    return 1 - 2 * (np.abs(m) & 1)
+
+
 # (grid order as a function of p, conjugate, grid index (nu, mu) of the
 # complex entry T[(no, mo), (ni, mi)])
 _TRANSLATIONS = {
@@ -139,6 +144,10 @@ _TRANSLATIONS = {
     "m2l": (lambda p: 2 * p, True, lambda no, mo, ni, mi: (ni + no, mi + mo)),
 }
 
+# kind -> (p, maps) of the highest order built so far: every lower order is
+# a slice of it
+_HIGHEST_MAPS = {}
+
 
 @lru_cache(maxsize=8)
 def translation_maps(kind, p):
@@ -149,32 +158,62 @@ def translation_maps(kind, p):
     the operator is ``G[map1] + G[map2]`` (:func:`assemble`), applied as
     ``coeffs_new = coeffs_old @ T.T``.  For 'm2l' the rows still lack
     :func:`row_sign`.
+
+    An entry depends on its (output, input) slot pair alone, so the maps of
+    order p are the leading block of those of any higher order, with the
+    offsets of -G and of the zero moved to the smaller grid.
+    """
+    top, maps = _HIGHEST_MAPS.get(kind, (-1, None))
+    if top < p:
+        top, maps = _HIGHEST_MAPS[kind] = (p, _build_maps(kind, p))
+    if top == p:
+        return maps
+    q_of = _TRANSLATIONS[kind][0]
+    size, size_top, S = num_coeffs(q_of(p)), num_coeffs(q_of(top)), num_coeffs(p)
+    out = []
+    for m in maps:
+        block = m[:S, :S]
+        out.append(np.where(block < size_top, block,
+                            np.where(block < 2 * size_top, block - size_top + size, 2 * size)))
+    return tuple(out)
+
+
+def _build_maps(kind, p):
+    """The maps of :func:`translation_maps`, in integer arithmetic.
+
+    Complex units are (real, imaginary) pairs of integers.  Output slot
+    (n, m) is Re(o_w c_(n, |m|)) with o_w = 1, or -i for m < 0; input column
+    (n, m) reads the full inputs (n, +-|m|) with unit weights w_i; the grid
+    entry of the term is g1 G[re_idx] + i g_im G[im_idx].
     """
     q_of, conj, grid_nm = _TRANSLATIONS[kind]
-    q = q_of(p)
-    size_q = num_coeffs(q)
-    n_o, m_o = _slots(p)
-    o_mu = np.abs(m_o)[:, None]
-    o_w = np.where(m_o < 0, -1j, 1.0)[:, None]   # P_r = Re(o_w c_(n, |m|))
-    # column s = (n, m) of the packed input reads the full inputs (n, +-|m|)
-    n_i, m_i = _slots(p)
+    size_q = num_coeffs(q_of(p))
+    n, m = _slots(p)
+    n_o, o_mu = n[:, None], np.abs(m)[:, None]
+    o_neg = m[:, None] < 0
+    n_i = n[None, :]
     maps = []
     for sgn in (1, -1):
-        full_m = sgn * np.abs(m_i)
-        _, (w1, w2) = _full_terms(n_i, full_m)
-        w_i = np.where(m_i < 0, w2, w1)
-        present = (sgn > 0) | (m_i != 0)
-        nu, mu = grid_nm(n_o[:, None], o_mu, n_i[None, :], full_m[None, :])
-        valid = (nu >= 0) & (np.abs(mu) <= nu) & present[None, :]
-        # grid entry g = g1 G[re_idx] + i g_im G[im_idx]
-        (re_idx, im_idx), (g1, g2) = _full_terms(np.where(valid, nu, 0),
-                                                 np.where(valid, mu, 0))
-        g_im = -g2.imag if conj else g2.imag
-        u = o_w * w_i[None, :]                   # a unit: +-1 or +-i
-        real_u = u.real != 0.0
+        full_m = sgn * np.abs(m)
+        # w_i of the full input (n, sgn |m|) read by packed column (n, m)
+        if sgn > 0:
+            w_re, w_im = np.where(m < 0, 0, 1), np.where(m < 0, 1, 0)
+        else:
+            w_re, w_im = np.where(m > 0, _odd(m), 0), np.where(m < 0, -_odd(m), 0)
+        # u = o_w w_i, where -i (c + i d) = d - i c
+        u_re = np.where(o_neg, w_im[None, :], w_re[None, :])
+        u_im = np.where(o_neg, -w_re[None, :], w_im[None, :])
+        nu, mu = grid_nm(n_o, o_mu, n_i, full_m[None, :])
+        valid = (nu >= 0) & (np.abs(mu) <= nu) & ((sgn > 0) | (m != 0))[None, :]
+        nu, mu = np.where(valid, nu, 0), np.where(valid, mu, 0)
+        g1 = np.where(mu < 0, _odd(mu), 1)
+        g_im = np.where(mu > 0, 1, np.where(mu < 0, -_odd(mu), 0))
+        if conj:
+            g_im = -g_im
+        real_u = u_re != 0
         # Re(u g) is u g1 G[re_idx] for real u, -Im(u) g_im G[im_idx] otherwise
-        sign = np.where(real_u, u.real * g1, -u.imag * g_im) * valid
-        index = np.where(real_u, re_idx, im_idx)
+        sign = np.where(real_u, u_re * g1, -u_im * g_im) * valid
+        index = flat_index(nu, np.where(real_u, 1, -1) * np.abs(mu))
         maps.append(np.where(sign > 0, index,
                              np.where(sign < 0, index + size_q, 2 * size_q)).astype(np.intp))
     return tuple(maps)
@@ -219,17 +258,18 @@ _SHIFTS = {
     # d/dx_a of sum L_n^m R_n^m(x) is a local expansion with coefficients
     # L_{n+1} shifted in m
     "local": (1, [[(-1, 0.5), (1, -0.5)], [(-1, -0.5j), (1, -0.5j)], [(0, 1.0)]]),
-    # d/dx_a of sum M_n^m conj(I_n^m(x)) is a multipole expansion one order up
-    "multipole": (-1, [[(-1, 0.5), (1, -0.5)], [(-1, 0.5j), (1, 0.5j)], [(0, -1.0)]]),
     # a dipole d at y adds d . grad_y R_n^m(y): the adjoint of the local rule
     "dipole": (-1, [[(1, 0.5), (-1, -0.5)], [(1, -0.5j), (-1, -0.5j)], [(0, 1.0)]]),
 }
 
 
-def _shift_entries(kind, p):
-    """(rows, cols, values) of the packed shift operator, duplicates unsummed."""
-    dn, axes = _SHIFTS[kind]
-    q = p + 1 if kind == "multipole" else p
+def _shift_entries(rule, q, adjoint):
+    """(rows, cols, values) of a packed shift operator of order q, duplicates unsummed.
+
+    rule is a (dn, axes) entry of _SHIFTS.  Axis a writes output block a of
+    three stacked order-q sets, or, adjoint, reads input block a.
+    """
+    dn, axes = rule
     size = num_coeffs(q)
     n, m = _slots(q)
     mu = np.abs(m)
@@ -241,7 +281,7 @@ def _shift_entries(kind, p):
             ok = (src_n >= 0) & (src_n <= q) & (np.abs(src_m) <= src_n)
             slots, ws = _full_terms(src_n[ok], src_m[ok])
             for slot, w in zip(slots, ws):
-                if kind == "dipole":   # axis a reads block a of the moments
+                if adjoint:
                     rows.append(np.flatnonzero(ok))
                     cols.append(slot + a * size)
                 else:
@@ -251,25 +291,8 @@ def _shift_entries(kind, p):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-@lru_cache(maxsize=8)
-def shift_terms(kind, p):
-    """Index and weight tables of the packed gradient or dipole shifts.
-
-    'local': order p -> three order-p sets stacked (the n = p slots are
-    zero), so that sum_s w_s X_s R_s with X a shifted set is d/dx_a of the
-    local field.  'multipole': order p + 1 (input zero-padded from p) ->
-    three order-(p+1) sets.  'dipole': three order-p moment sets flattened
-    to 3 (p+1)^2 -> one order-p multipole set.
-
-    Returns (index, weight), both (K, S_out): output slot r is
-    sum_k weight[k, r] * input[index[k, r]].  K is at most 2 for 'local' and
-    'multipole' and 5 for 'dipole'; unused terms have weight 0.
-    """
-    rows, cols, vals = _shift_entries(kind, p)
-    q = p + 1 if kind == "multipole" else p
-    n_in, n_out = num_coeffs(q), 3 * num_coeffs(q)
-    if kind == "dipole":
-        n_in, n_out = n_out, n_in
+def _shift_tables(rows, cols, vals, n_in, n_out):
+    """Index and weight tables, both (K, n_out), of an (n_out, n_in) operator's entries."""
     # sum repeated (row, col) entries and drop the zeros, in row-major order
     codes, inverse = np.unique(rows * n_in + cols, return_inverse=True)
     vals = np.bincount(inverse.ravel(), weights=vals, minlength=len(codes))
@@ -285,13 +308,36 @@ def shift_terms(kind, p):
     return index, weight
 
 
-def _apply_shift(X, kind, p):
-    """(..., k, S_out) shifted sets of the coefficients X (..., S_in)."""
-    index, weight = shift_terms(kind, p)
+@lru_cache(maxsize=8)
+def shift_terms(kind, p):
+    """Index and weight tables of the packed gradient or dipole shifts.
+
+    'local': order p -> three order-p sets stacked (the n = p slots are
+    zero), so that sum_s w_s X_s R_s with X a shifted set is d/dx_a of the
+    local field.  'dipole': three order-p moment sets flattened to
+    3 (p+1)^2 -> one order-p multipole set.
+
+    Returns (index, weight), both (K, S_out): output slot r is
+    sum_k weight[k, r] * input[index[k, r]].  K is at most 2 for 'local' and
+    5 for 'dipole'; unused terms have weight 0.
+    """
+    adjoint = kind == "dipole"
+    size = num_coeffs(p)
+    n_in, n_out = (3 * size, size) if adjoint else (size, 3 * size)
+    return _shift_tables(*_shift_entries(_SHIFTS[kind], p, adjoint), n_in, n_out)
+
+
+def _apply_shift(X, terms, size):
+    """(..., k, size) shifted sets of the coefficients X (..., S_in).
+
+    terms is an (index, weight) pair of tables like those of shift_terms.
+    """
+    index, weight = terms
     flat = X.reshape(-1, X.shape[-1])
-    terms = np.take(flat, index.ravel(), axis=1).reshape((len(flat),) + index.shape)
-    out = np.einsum("bks,ks->bs", terms, weight)
-    return out.reshape(X.shape[:-1] + (-1, num_coeffs(p + 1 if kind == "multipole" else p)))
+    out = np.einsum("bks,ks->bs",
+                    np.take(flat, index.ravel(), axis=1).reshape((len(flat),) + index.shape),
+                    weight)
+    return out.reshape(X.shape[:-1] + (-1, size))
 
 
 def dipole_shift(moments, p):
@@ -301,7 +347,7 @@ def dipole_shift(moments, p):
     the packed regular harmonics of order p.  Returns (..., S).
     """
     flat = moments.reshape(moments.shape[:-2] + (-1,))
-    return _apply_shift(flat, "dipole", p)[..., 0, :]
+    return _apply_shift(flat, shift_terms("dipole", p), num_coeffs(p))[..., 0, :]
 
 
 def local_field_coeffs(coeffs, p, want_gradient=False):
@@ -316,4 +362,5 @@ def local_field_coeffs(coeffs, p, want_gradient=False):
     pot = (coeffs * w)[..., None, :]
     if not want_gradient:
         return pot
-    return np.concatenate([pot, _apply_shift(coeffs, "local", p) * w], axis=-2)
+    grad = _apply_shift(coeffs, shift_terms("local", p), num_coeffs(p))
+    return np.concatenate([pot, grad * w], axis=-2)

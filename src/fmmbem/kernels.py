@@ -8,6 +8,8 @@ boundary-integral formulation are applied by the operator layer).
 reference.  :func:`kernel_sum` is the only place where a kernel is split
 into Laplace-type channels of the bare 1/r sum, which :func:`laplace_sum`,
 the FMM or the dense operator path evaluate, and recombined.
+:func:`rule_sums` gives the quadrature sums of several kernels over one
+rule per target, the sums behind the operator's near-pair corrections.
 """
 
 import enum
@@ -72,6 +74,48 @@ def stresslet_contracted(x_t, x_s, normal_s):
     outer = np.einsum("...i,...j->...ij", r, r)
     shape = np.shape(dist)
     return 6.0 * outer * rn.reshape(shape + (1, 1)) / (dist ** 5).reshape(shape + (1, 1))
+
+
+def rule_sums(kinds, targets, points, weights, normals=None):
+    """Quadrature sums of the pointwise kernels above, one target and one rule per pair.
+
+    targets (P, 3); points (P, 3, K), coordinate-major so that each
+    coordinate of a pair's K points is contiguous; weights (P, K); normals
+    (P, 3), the source normal of each pair.  Pair q sums weights[q, k] times
+    the kernel between targets[q] and points[q, :, k] over k.  A point that
+    coincides with its target contributes zero.  All kinds share one
+    evaluation of the separations and inverse distances.  Returns one (P,)
+    or (P, 3, 3) array per kind.
+    """
+    kinds = [KernelKind(k) for k in kinds]
+    for kind in kinds:
+        _check_normals(kind, normals)
+    r = targets[:, :, None] - points
+    d2 = np.einsum("qik,qik->qk", r, r)
+    inv = np.zeros_like(d2)
+    np.divide(1.0, np.sqrt(d2), out=inv, where=d2 > 0.0)
+    w_inv = weights * inv
+    w_inv3 = w_inv * inv * inv
+    if any(kind.needs_normals for kind in kinds):
+        rn = np.einsum("qik,qi->qk", r, normals)
+    out = []
+    for kind in kinds:
+        if kind is KernelKind.LAPLACE_SINGLE:
+            out.append(w_inv.sum(axis=1) / FOUR_PI)
+        elif kind is KernelKind.LAPLACE_DOUBLE:
+            out.append(np.einsum("qk,qk->q", w_inv3, rn) / FOUR_PI)
+        elif kind is KernelKind.STOKESLET:
+            block = _weighted_outer(r, w_inv3)
+            block[:, np.arange(3), np.arange(3)] += w_inv.sum(axis=1)[:, None]
+            out.append(block)
+        else:
+            out.append(_weighted_outer(r, 6.0 * w_inv3 * rn * inv * inv))
+    return out
+
+
+def _weighted_outer(r, a):
+    """sum_k a[q, k] r[q, i, k] r[q, j, k], shape (P, 3, 3), as one batched matmul."""
+    return (r * a[:, None, :]) @ r.transpose(0, 2, 1)
 
 
 class PairGeometry(NamedTuple):

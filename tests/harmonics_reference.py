@@ -2,9 +2,10 @@
 
 The package runs only the packed real forms of :mod:`fmmbem.harmonics`.
 These are what the tests check them against: the complex harmonics
-R_n^m and I_n^m as defined in that module's docstring, a dense translation
-operator per offset, and point-to-expansion and expansion-to-point
-evaluation built from the packed pieces.
+R_n^m and I_n^m as defined in that module's docstring, the translation
+maps derived in complex arithmetic, a dense translation operator per
+offset, the gradient shift of a multipole expansion, and point-to-expansion
+and expansion-to-point evaluation built from the packed pieces.
 """
 
 import numpy as np
@@ -63,6 +64,55 @@ def irregular(vecs, p):
     return out
 
 
+def translation_maps(kind, p):
+    """The index maps of :func:`fmmbem.harmonics.translation_maps`, derived
+    from the complex weights of the full coefficients."""
+    q_of, conj, grid_nm = H._TRANSLATIONS[kind]
+    size_q = num_coeffs(q_of(p))
+    n_o, m_o = H._slots(p)
+    o_mu = np.abs(m_o)[:, None]
+    o_w = np.where(m_o < 0, -1j, 1.0)[:, None]   # P_r = Re(o_w c_(n, |m|))
+    # column s = (n, m) of the packed input reads the full inputs (n, +-|m|)
+    n_i, m_i = H._slots(p)
+    maps = []
+    for sgn in (1, -1):
+        full_m = sgn * np.abs(m_i)
+        _, (w1, w2) = H._full_terms(n_i, full_m)
+        w_i = np.where(m_i < 0, w2, w1)
+        present = (sgn > 0) | (m_i != 0)
+        nu, mu = grid_nm(n_o[:, None], o_mu, n_i[None, :], full_m[None, :])
+        valid = (nu >= 0) & (np.abs(mu) <= nu) & present[None, :]
+        # grid entry g = g1 G[re_idx] + i g_im G[im_idx]
+        (re_idx, im_idx), (g1, g2) = H._full_terms(np.where(valid, nu, 0),
+                                                   np.where(valid, mu, 0))
+        g_im = -g2.imag if conj else g2.imag
+        u = o_w * w_i[None, :]                   # a unit: +-1 or +-i
+        real_u = u.real != 0.0
+        # Re(u g) is u g1 G[re_idx] for real u, -Im(u) g_im G[im_idx] otherwise
+        sign = np.where(real_u, u.real * g1, -u.imag * g_im) * valid
+        index = np.where(real_u, re_idx, im_idx)
+        maps.append(np.where(sign > 0, index,
+                             np.where(sign < 0, index + size_q, 2 * size_q)).astype(np.intp))
+    return tuple(maps)
+
+
+# d/dx_a of sum M_n^m conj(I_n^m(x)) is a multipole expansion one order up,
+# as a rule of fmmbem.harmonics._SHIFTS
+MULTIPOLE_SHIFT = (-1, [[(-1, 0.5), (1, -0.5)], [(-1, 0.5j), (1, 0.5j)], [(0, -1.0)]])
+
+
+def multipole_shift_entries(p):
+    """(rows, cols, values) of the multipole gradient shift: order p + 1 (input
+    zero-padded from p) -> three order-(p+1) sets, duplicates unsummed."""
+    return H._shift_entries(MULTIPOLE_SHIFT, p + 1, adjoint=False)
+
+
+def multipole_shift_terms(p):
+    """Index and weight tables of the multipole gradient shift, at most 2 terms."""
+    size = num_coeffs(p + 1)
+    return H._shift_tables(*multipole_shift_entries(p), size, 3 * size)
+
+
 def translation_matrix(kind, d, p):
     """Dense packed ((p+1)^2, (p+1)^2) translation operator for offset d.
 
@@ -111,7 +161,8 @@ def multipole_to_point(coeffs, rel_pos, p, want_gradient=False):
     padded[..., :num_coeffs(p)] = c
     rows = (padded * w)[..., None, :]
     if want_gradient:
-        rows = np.concatenate([rows, H._apply_shift(padded, "multipole", p) * w], axis=-2)
+        grad = H._apply_shift(padded, multipole_shift_terms(p), num_coeffs(q))
+        rows = np.concatenate([rows, grad * w], axis=-2)
     return _field(rows @ H.packed_irregular(rel_pos, q).T, want_gradient)
 
 

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
+import operator_reference as OR
 from fmmbem import bemop
 from fmmbem import mesh as M
 from fmmbem import quadrature as Q
@@ -129,7 +130,7 @@ def test_near_pairs_match_brute_force():
     cutoff = bemop.NEAR_FACTOR * np.sqrt(2.0 * op.areas)
     # rows (j, i) in ascending order, the order the search returns
     ref = np.argwhere(cdist(op.centroids, op.centroids).T <= cutoff[:, None])[:, ::-1]
-    pairs = op._near_pairs
+    pairs = op._find_near_pairs()
     assert pairs.dtype == np.intp
     np.testing.assert_array_equal(pairs, ref)
 
@@ -159,39 +160,81 @@ def _scipy_blocks(rows, cols, blocks, n):
                          shape=(3 * n, 3 * n))
 
 
-@pytest.mark.parametrize("formulation", [Formulation.LAPLACE_FIRST, Formulation.STOKES])
-def test_correction_matches_scipy_csr(sphere3, monkeypatch, formulation):
-    """For all four kernels, BlockCsr @ x equals scipy's CSR of the same triplets."""
+def _recorded_correction(monkeypatch, mesh, formulation):
+    """The operator, its near pairs and each matrix's blocks in pair order, as
+    the correction build handed them to BlockCsr."""
     built = []
     block_csr = bemop.BlockCsr
 
-    def recording(rows, cols, blocks, n):
-        built.append((rows, cols, blocks, n))
-        return block_csr(rows, cols, blocks, n)
+    def recording(rows, cols, n, blocks, **kwargs):
+        seen = []
+
+        def record(sel):
+            values = blocks(sel)
+            seen.append((sel, [v.copy() for v in values]))
+            return values
+
+        built.append((rows, cols, n, seen, block_csr(rows, cols, n, record, **kwargs)))
+        return built[-1][-1]
 
     monkeypatch.setattr(bemop, "BlockCsr", recording)
-    op = BemOperator(sphere3, formulation)
+    op = BemOperator(mesh, formulation)
+    (rows, cols, n, seen, mat), = built
+    assert mat is op._corrections
+    sel = np.concatenate([s for s, _ in seen])
+    # every block is asked for once
+    np.testing.assert_array_equal(np.sort(sel), np.arange(len(rows)))
+    blocks = []
+    for k in (bemop.SYSTEM, bemop.RHS):
+        values = np.concatenate([v[k] for _, v in seen])
+        blocks.append(np.empty_like(values))
+        blocks[-1][sel] = values
+    return op, np.column_stack([rows, cols]), blocks
+
+
+@pytest.mark.parametrize("formulation", [Formulation.LAPLACE_FIRST, Formulation.STOKES])
+def test_correction_matches_scipy_csr(sphere3, monkeypatch, formulation):
+    """For all four kernels, both matrices on the shared pattern apply as
+    scipy's CSR of the same triplets."""
+    op, pairs, blocks = _recorded_correction(monkeypatch, sphere3, formulation)
+    mat = op._corrections
     x = np.random.default_rng(4).uniform(-1.0, 1.0, size=op.shape[0])
-    for mat, triplets in zip((op._c_sys, op._c_rhs), built):
-        ref = _scipy_blocks(*triplets)
-        assert mat.nnz == ref.nnz
-        np.testing.assert_allclose(mat @ x, ref @ x, rtol=1e-14, atol=1e-14 * np.abs(ref @ x).max())
+    assert mat.data.shape[0] == 2
+    for k, values in zip((bemop.SYSTEM, bemop.RHS), blocks):
+        ref = _scipy_blocks(pairs[:, 0], pairs[:, 1], values, op.n_panels)
+        assert mat.nnz == 2 * ref.nnz
+        np.testing.assert_allclose(mat.matvec(x, k), ref @ x, rtol=1e-14,
+                                   atol=1e-14 * np.abs(ref @ x).max())
+
+
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_corrections_match_per_kind_reference(sphere3, monkeypatch, formulation):
+    """The shared 23-point pass gives each kernel's fine-minus-coarse blocks
+    of the per-kind build, to 1e-13 of the largest entry."""
+    op, pairs, blocks = _recorded_correction(monkeypatch, sphere3, formulation)
+    np.testing.assert_array_equal(pairs, op._find_near_pairs())
+    for kind, values in zip((op._sys_kind, op._rhs_kind), blocks):
+        ref = OR.correction_blocks(op, kind, pairs)
+        assert np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("block", [1, 3])
 def test_block_csr_uneven_and_empty_rows(block):
-    """Rows of every length, empty rows included, against scipy's CSR."""
+    """Rows of every length, empty rows included, against scipy's CSR, for
+    two matrices on one pattern."""
     rng = np.random.default_rng(block)
     n = 40
     dense = rng.random((n, n)) < np.linspace(0.0, 0.5, n)[:, None]
     rows, cols = np.nonzero(dense)
-    shape = (len(rows),) if block == 1 else (len(rows), 3, 3)
+    shape = (2, len(rows)) if block == 1 else (2, len(rows), 3, 3)
     blocks = rng.uniform(-1.0, 1.0, size=shape)
-    mat = bemop.BlockCsr(rows, cols, blocks, n)
-    ref = _scipy_blocks(rows, cols, blocks, n)
+    mat = bemop.BlockCsr(rows, cols, n, lambda sel: [blocks[0][sel], blocks[1][sel]],
+                         block_size=block, count=2)
     x = rng.uniform(-1.0, 1.0, size=block * n)
-    assert mat.nnz == ref.nnz
-    np.testing.assert_allclose(mat @ x, ref @ x, rtol=1e-14, atol=1e-14)
+    for k in range(2):
+        ref = _scipy_blocks(rows, cols, blocks[k], n)
+        assert mat.nnz == 2 * ref.nnz
+        np.testing.assert_allclose(mat.matvec(x, k), ref @ x, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("kwargs, match", [

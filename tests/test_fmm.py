@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import harmonics_reference as HR
+import operator_reference as OR
+from fmmbem import mesh as M
+from fmmbem import quadrature as Q
 from fmmbem.fmm import FmmPlan, dual_traversal, evaluate, multipole_error_bound, required_p
 from fmmbem.kernels import FOUR_PI, KernelKind, direct_sum, laplace_sum
-from fmmbem.octree import build_tree
+from fmmbem.octree import bounding_cube, build_tree
 
 RNG = np.random.default_rng(21)
 
@@ -38,6 +41,48 @@ def test_traversal_accounts_every_pair():
     plan = FmmPlan(pos, tgt, n_crit=30, theta=0.5)
     counts = plan.interaction_counts()
     np.testing.assert_array_equal(counts, np.full(len(tgt), len(pos)))
+
+
+def _pair_set(pairs):
+    assert pairs.dtype == np.intp and pairs.ndim == 2 and pairs.shape[1] == 2
+    found = set(map(tuple, pairs.tolist()))
+    assert len(found) == len(pairs)        # no pair twice
+    return found
+
+
+def _assert_same_traversal(src_tree, tgt_tree, theta):
+    m2l, p2p = dual_traversal(src_tree, tgt_tree, theta)
+    ref_m2l, ref_p2p = OR.dual_traversal(src_tree, tgt_tree, theta)
+    assert _pair_set(m2l) == _pair_set(ref_m2l)
+    assert _pair_set(p2p) == _pair_set(ref_p2p)
+
+
+@given(seed=st.integers(0, 2 ** 16), n_src=st.integers(1, 400), n_tgt=st.integers(1, 200),
+       n_crit=st.integers(1, 40), theta=st.sampled_from([0.3, 0.5, 0.7]),
+       shared=st.booleans(), same=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_traversal_matches_pairwise_loop(seed, n_src, n_tgt, n_crit, theta, shared, same):
+    """The level-synchronous descent finds the M2L and P2P pairs of the loop
+    that pops one pair at a time: one tree, or distinct source and target
+    trees on a shared root cube or on their own."""
+    rng = np.random.default_rng(seed)
+    src = rng.uniform(0.0, 1.0, size=(n_src, 3)) * rng.uniform(0.1, 2.0, size=3)
+    tgt = src if same else rng.uniform(0.0, 1.0, size=(n_tgt, 3))
+    root = bounding_cube(np.vstack([src, tgt])) if shared else (None, None)
+    src_tree = build_tree(src, n_crit, *root)
+    tgt_tree = src_tree if same else build_tree(tgt, n_crit, *root)
+    _assert_same_traversal(src_tree, tgt_tree, theta)
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("make_mesh", [lambda: M.make_sphere(3),
+                                       lambda: M.make_scene(6, 2, seed=3)])
+def test_traversal_matches_pairwise_loop_on_meshes(make_mesh, theta):
+    """Same pairs on the Gauss-point and centroid trees of BEM meshes, whose
+    cells sit on one lattice, so that many pairs lie at the threshold."""
+    pts, _ = Q.quadrature_points(make_mesh().panel_vertices, Q.FAR_RULE)
+    plan = FmmPlan(pts.reshape(-1, 3), pts[:, 0], n_crit=32, theta=theta)
+    _assert_same_traversal(plan.src_tree, plan.tgt_tree, theta)
 
 
 def test_traversal_rejects_bad_theta():

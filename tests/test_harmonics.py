@@ -231,15 +231,36 @@ def test_reflected_offsets_share_one_operator(kind):
 @pytest.mark.parametrize("p", [0, 1, 5, 18])
 def test_shift_tables_match_csr_product(kind, p):
     """The index/weight tables apply the same operator as its scipy CSR matrix."""
-    rows, cols, vals = H._shift_entries(kind, p)
-    q = p + 1 if kind == "multipole" else p
+    if kind == "multipole":
+        q = p + 1
+        rows, cols, vals = HR.multipole_shift_entries(p)
+        terms = HR.multipole_shift_terms(p)
+    else:
+        q = p
+        rows, cols, vals = H._shift_entries(H._SHIFTS[kind], p, adjoint=kind == "dipole")
+        terms = H.shift_terms(kind, p)
     size = H.num_coeffs(q)
     shape = (size, 3 * size) if kind == "dipole" else (3 * size, size)
     B = sp.csr_matrix((vals, (rows, cols)), shape=shape)
     B.eliminate_zeros()
-    index, weight = H.shift_terms(kind, p)
+    index, _ = terms
     assert index.shape[0] == np.diff(B.indptr).max(initial=0) <= (5 if kind == "dipole" else 2)
     X = np.random.default_rng(p).uniform(-1.0, 1.0, size=(7, shape[1]))
     ref = (B @ X.T).T
-    out = H._apply_shift(X, kind, p).reshape(ref.shape)
+    out = H._apply_shift(X, terms, size).reshape(ref.shape)
     np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-15 * max(np.abs(ref).max(), 1.0))
+
+
+@pytest.mark.parametrize("kind", ["m2m", "l2l", "m2l"])
+def test_translation_maps_equal_complex_derivation(kind):
+    """The integer maps, built at each order or sliced from a higher one, are
+    exactly those of the complex derivation at every order up to 18."""
+    H.translation_maps.cache_clear()     # so that every lower order is a slice
+    H.translation_maps(kind, 18)
+    for p in range(19):
+        ref = HR.translation_maps(kind, p)
+        for maps in (H._build_maps(kind, p), H.translation_maps(kind, p)):
+            assert len(maps) == 2
+            for m, r in zip(maps, ref):
+                assert m.dtype == r.dtype
+                np.testing.assert_array_equal(m, r)

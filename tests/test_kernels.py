@@ -5,6 +5,7 @@ import functools
 import numpy as np
 import pytest
 
+import operator_reference as OR
 from fmmbem import kernels as K
 
 RNG = np.random.default_rng(11)
@@ -131,3 +132,34 @@ def test_laplace_sum_translation_invariant():
     # shifted coordinates round at 1e3 * eps, so compare on the output scale
     assert np.abs(pot_s - pot).max() <= 1e-10 * np.abs(pot).max()
     assert np.abs(grad_s - grad).max() <= 1e-10 * np.abs(grad).max()
+
+
+@pytest.mark.parametrize("kinds", [
+    (K.KernelKind.LAPLACE_SINGLE, K.KernelKind.LAPLACE_DOUBLE),
+    (K.KernelKind.LAPLACE_DOUBLE, K.KernelKind.LAPLACE_SINGLE),
+    (K.KernelKind.STOKESLET, K.KernelKind.STRESSLET),
+])
+def test_rule_sums_match_per_kind_reference(kinds):
+    """One shared pass gives each kernel's sums of the one-kernel reference,
+    coincident points (zero) included, to 1e-13 of the largest entry."""
+    rng = np.random.default_rng(17)
+    n_pairs, k = 500, 23
+    tgt = rng.uniform(-1.0, 1.0, size=(n_pairs, 3))
+    pts = tgt[:, None, :] + rng.normal(scale=0.3, size=(n_pairs, k, 3))
+    pts[::7, 0] = tgt[::7]                # a coincident point in every 7th pair
+    wts = rng.uniform(-1.0, 1.0, size=(n_pairs, k))
+    normals = rng.normal(size=(n_pairs, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    sums = K.rule_sums(kinds, tgt, pts.transpose(0, 2, 1).copy(), wts, normals)
+    assert len(sums) == len(kinds)
+    for kind, value in zip(kinds, sums):
+        ref = OR.pair_rule_sums(kind, tgt, pts, wts, normals)
+        assert value.shape == ref.shape and np.all(np.isfinite(value))
+        assert np.abs(value - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_rule_sums_require_normals_for_double_layers():
+    pts = np.zeros((1, 3, 2))
+    with pytest.raises(ValueError, match="normals"):
+        K.rule_sums([K.KernelKind.STOKESLET, K.KernelKind.STRESSLET], np.ones((1, 3)), pts,
+                    np.ones((1, 2)))
