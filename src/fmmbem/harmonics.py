@@ -194,7 +194,6 @@ def _build_maps(kind, p):
     n_i = n[None, :]
     maps = []
     for sgn in (1, -1):
-        full_m = sgn * np.abs(m)
         # w_i of the full input (n, sgn |m|) read by packed column (n, m)
         if sgn > 0:
             w_re, w_im = np.where(m < 0, 0, 1), np.where(m < 0, 1, 0)
@@ -203,9 +202,9 @@ def _build_maps(kind, p):
         # u = o_w w_i, where -i (c + i d) = d - i c
         u_re = np.where(o_neg, w_im[None, :], w_re[None, :])
         u_im = np.where(o_neg, -w_re[None, :], w_im[None, :])
-        nu, mu = grid_nm(n_o, o_mu, n_i, full_m[None, :])
+        nu, mu = grid_nm(n_o, o_mu, n_i, sgn * np.abs(m)[None, :])
+        # an invalid term gets sign 0, whatever its index
         valid = (nu >= 0) & (np.abs(mu) <= nu) & ((sgn > 0) | (m != 0))[None, :]
-        nu, mu = np.where(valid, nu, 0), np.where(valid, mu, 0)
         g1 = np.where(mu < 0, _odd(mu), 1)
         g_im = np.where(mu > 0, 1, np.where(mu < 0, -_odd(mu), 0))
         if conj:
