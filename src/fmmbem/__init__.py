@@ -7,7 +7,7 @@ residual falls.
 """
 
 from .bemop import BemOperator, Formulation
-from .fmm import FmmPlan, multipole_error_bound, required_p
+from .fmm import FmmPlan, required_p
 from .kernels import KernelKind, direct_sum
 from .mesh import (Mesh, check_closed, check_outward, make_rbc, make_scene,
                    make_sphere, read_mesh, write_mesh)
@@ -20,8 +20,7 @@ __all__ = [
     "BemOperator", "Formulation", "FmmPlan", "KernelKind", "Mesh",
     "Octree", "RelaxationSchedule", "SolveResult", "StudyReport",
     "build_tree", "check_closed", "check_outward", "direct_sum", "gmres",
-    "make_rbc", "make_scene", "make_sphere", "multipole_error_bound",
-    "observed_order", "read_mesh", "required_p", "richardson",
-    "run_convergence", "run_relaxation_comparison", "run_scaling", "solve",
-    "write_mesh",
+    "make_rbc", "make_scene", "make_sphere", "observed_order", "read_mesh",
+    "required_p", "richardson", "run_convergence", "run_relaxation_comparison",
+    "run_scaling", "solve", "write_mesh",
 ]

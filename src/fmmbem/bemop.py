@@ -88,8 +88,6 @@ class BemOperator:
         self.mesh = mesh
         self.formulation = Formulation(formulation)
         self.mu = mu
-        self.theta = theta
-        self.n_crit = n_crit
 
         _, self.normals, self.areas = mesh.geometry()
         pv = mesh.panel_vertices

@@ -75,33 +75,53 @@ def dual_traversal(src_tree, tgt_tree, theta):
     return np.concatenate(m2l_pairs), np.concatenate(p2p_pairs)
 
 
-def _translate(T, s, src, src_cells, dst, dst_cells):
-    """dst[dst_cells] += diag(s) T diag(s) src[src_cells], as one GEMM.
+def _offset_groups(pairs, offsets, quantum):
+    """Group (source cell, destination cell) pairs by their offset.
 
-    s is the reflection sign vector under which T serves this group's offset
-    (see harmonics.reflection_signs); dst_cells must not repeat.
+    Offsets are keyed on a lattice of spacing quantum, exact for the cells
+    of one root cube, and mirrored into the positive octant: one operator
+    serves all eight axis reflections of an offset.  Returns the mirrored
+    offsets, smallest first, and per offset its members (source cells,
+    destination cells, flip), flip having bit a set where the offset is
+    negative on axis a; pairs keep their order within a member.
     """
-    x = src[src_cells] * s
-    n, C, size = x.shape
-    dst[dst_cells] += (x.reshape(n * C, size) @ T.T).reshape(n, C, size) * s
+    keys = np.round(offsets / quantum).astype(np.int64)
+    flips = (keys < 0) @ np.array([1, 2, 4])
+    mirrored, inverse = np.unique(np.abs(keys), axis=0, return_inverse=True)
+    code = 8 * inverse.ravel() + flips
+    order = np.argsort(code, kind="stable")
+    starts = np.flatnonzero(np.diff(code[order], prepend=-1))
+    groups = [[] for _ in mirrored]
+    for lo, hi in zip(starts, np.append(starts[1:], len(order))):
+        members = pairs[order[lo:hi]]
+        c = code[order[lo]]
+        groups[c // 8].append((members[:, 0], members[:, 1], c % 8))
+    return mirrored * quantum, groups
 
 
-def _level_groups(tree):
-    """Child/parent pairs of a tree per level, for reflected M2M and L2L.
+def _child_parent(tree):
+    """(child, parent) pairs of a tree and their child-minus-parent offsets."""
+    kids = np.flatnonzero(tree.parent >= 0)
+    parents = tree.parent[kids]
+    return np.column_stack([kids, parents]), tree.center[kids] - tree.center[parents]
 
-    Returns, shallowest level first, the positive-octant child-minus-parent
-    offset of each level and its members (children, parents, flip), one per
-    octant, flip having bit a set where the octant lies below the parent's
-    center on axis a.
+
+def _sweep(kind, groups, grids, p, src, dst):
+    """dst[b] += diag(s) T diag(s) src[a] for every member (a, b, flip) of
+    every group, one GEMM per member, in the order of groups.
+
+    T is the kind's operator built from the group's signed grid row, and s
+    the reflection signs of flip (see harmonics.reflection_signs).  The
+    destination cells of one member must not repeat.
     """
-    groups, offsets = [], []
-    for level in range(1, tree.n_levels):
-        cells = tree.cells_by_level[level]
-        parents = tree.parent[cells]
-        flips = (tree.center[cells] < tree.center[parents]) @ np.array([1, 2, 4])
-        groups.append([(cells[flips == f], parents[flips == f], f) for f in np.unique(flips)])
-        offsets.append(np.full(3, tree.half_width[cells[0]]))
-    return groups, np.reshape(offsets, (-1, 3))
+    maps = H.translation_maps(kind, p)
+    signs = H.reflection_signs(p)
+    for grid, members in zip(grids, groups):
+        T = H.assemble(grid, maps)
+        for a, b, flip in members:
+            x = src[a] * signs[flip]
+            n, C, size = x.shape
+            dst[b] += (x.reshape(n * C, size) @ T.T).reshape(n, C, size) * signs[flip]
 
 
 class FmmPlan:
@@ -111,66 +131,48 @@ class FmmPlan:
         src_pos = np.atleast_2d(np.asarray(src_pos, dtype=float))
         tgt_pos = np.atleast_2d(np.asarray(tgt_pos, dtype=float))
         center, half = bounding_cube(np.vstack([src_pos, tgt_pos]))
-        self.src_tree = build_tree(src_pos, n_crit, center, half)
-        self.tgt_tree = build_tree(tgt_pos, n_crit, center, half)
-        self.theta = theta
-        self.m2l_pairs, self.p2p_pairs = dual_traversal(self.src_tree, self.tgt_tree, theta)
-        # group M2L pairs by their center offset (lattice-exact for shared
-        # roots), and the offsets by their mirror image in the positive octant:
-        # one operator serves all eight reflections of an offset
-        self._m2l_groups = []
-        if len(self.m2l_pairs):
-            D = self.tgt_tree.center[self.m2l_pairs[:, 1]] - self.src_tree.center[self.m2l_pairs[:, 0]]
-            quantum = half * 2.0 ** -(MAX_DEPTH + 2)
-            keys = np.round(D / quantum).astype(np.int64)
-            flips = (keys[:, 0] < 0) + 2 * (keys[:, 1] < 0) + 4 * (keys[:, 2] < 0)
-            mirrored, inverse = np.unique(np.abs(keys), axis=0, return_inverse=True)
-            self._m2l_offsets = mirrored * quantum
-            code = 8 * inverse.ravel() + flips
-            order = np.argsort(code, kind="stable")
-            starts = np.flatnonzero(np.diff(code[order], prepend=-1))
-            self._m2l_groups = [[] for _ in range(len(mirrored))]
-            for lo, hi in zip(starts, np.append(starts[1:], len(order))):
-                pairs = self.m2l_pairs[order[lo:hi]]
-                c = code[order[lo]]
-                self._m2l_groups[c // 8].append((pairs[:, 0], pairs[:, 1], c % 8))
-        else:
-            self._m2l_offsets = np.empty((0, 3))
-        self._m2m_groups, self._m2m_offsets = _level_groups(self.src_tree)
-        self._l2l_groups, self._l2l_offsets = _level_groups(self.tgt_tree)
-        # per-target-leaf concatenated source body indices (original numbering)
-        self._p2p_by_leaf = {}
-        for s, t in self.p2p_pairs:
-            self._p2p_by_leaf.setdefault(t, []).append(s)
-        self._p2p_sources = {}
-        for t, cells in self._p2p_by_leaf.items():
-            idx = np.concatenate([self._src_bodies(s) for s in cells])
-            self._p2p_sources[t] = np.sort(idx)
-        # the density-independent part of each P2P leaf's direct sum, in
-        # p2p_items order: O(targets) memory
-        self._p2p_geometry = [pair_geometry(self.tgt_tree.points[t], self.src_tree.points[s])
-                              for t, s in self.p2p_items()]
+        src = self.src_tree = build_tree(src_pos, n_crit, center, half)
+        tgt = self.tgt_tree = build_tree(tgt_pos, n_crit, center, half)
+        self.m2l_pairs, self.p2p_pairs = dual_traversal(src, tgt, theta)
+        # every translation is grouped by its offset: target minus source for
+        # M2L, child minus parent for M2M and L2L
+        quantum = half * 2.0 ** -(MAX_DEPTH + 2)
+        s, t = self.m2l_pairs.T
+        self._m2l_offsets, self._m2l_groups = _offset_groups(
+            self.m2l_pairs, tgt.center[t] - src.center[s], quantum)
+        pairs, offsets = _child_parent(src)
+        self._m2m_offsets, self._m2m_groups = _offset_groups(pairs, offsets, quantum)
+        pairs, offsets = _child_parent(tgt)
+        self._l2l_offsets, self._l2l_groups = _offset_groups(pairs[:, ::-1], offsets, quantum)
+        # P2P per target leaf: its bodies, the sorted bodies of all its source
+        # leaves, and the density-independent part of their direct sum
+        s, t = self.p2p_pairs[np.lexsort(self.p2p_pairs.T)].T
+        count = src.body_count[s]
+        row = np.cumsum(count) - count                 # first source row of each pair
+        body = np.repeat(src.body_start[s] - row, count) + np.arange(count.sum())
+        leaves, first = np.unique(t, return_index=True)
+        self._p2p = []
+        for leaf, sources in zip(leaves, np.split(src.perm[body], row[first[1:]])):
+            start = tgt.body_start[leaf]
+            targets = tgt.perm[start:start + tgt.body_count[leaf]]
+            sources = np.sort(sources)
+            self._p2p.append((targets, sources,
+                              pair_geometry(tgt.points[targets], src.points[sources])))
         self._igrid = (None, None)   # (p, signed M2L grid) of the last order used
-
-    def _src_bodies(self, cell):
-        tree = self.src_tree
-        s = tree.body_start[cell]
-        return tree.perm[s:s + tree.body_count[cell]]
-
-    def _tgt_bodies(self, cell):
-        tree = self.tgt_tree
-        s = tree.body_start[cell]
-        return tree.perm[s:s + tree.body_count[cell]]
 
     # -- structural bookkeeping -------------------------------------------------
 
     def interaction_counts(self):
         """Number of sources accounted for per target, via the pair lists only."""
-        counts = np.zeros(len(self.tgt_tree.points))
-        for s, t in self.m2l_pairs:
-            counts[self._tgt_bodies(t)] += self.src_tree.body_count[s]
-        for t, idx in self._p2p_sources.items():
-            counts[self._tgt_bodies(t)] += len(idx)
+        src, tgt = self.src_tree, self.tgt_tree
+        per_cell = np.zeros(tgt.n_cells)
+        for s, t in (self.m2l_pairs.T, self.p2p_pairs.T):
+            per_cell += np.bincount(t, weights=src.body_count[s], minlength=tgt.n_cells)
+        # a target counts the sources of every pair of its leaf and its ancestors
+        for cells in tgt.cells_by_level[1:]:
+            per_cell[cells] += per_cell[tgt.parent[cells]]
+        counts = np.empty(len(tgt.points))
+        counts[tgt.perm] = per_cell[tgt.leaf_of_body]
         return counts
 
     # -- far field --------------------------------------------------------------
@@ -210,7 +212,10 @@ class FmmPlan:
         M = np.zeros((self.src_tree.n_cells, C, size))
         # the P2M temporaries are freed on return, before M2M builds its maps
         self._leaf_multipoles(q, dip, p, C, M)
-        self._vertical_sweep(self.src_tree, M, p, upward=True)
+        # smallest offset, so deepest level, first: a parent's multipole is
+        # complete before it moves up
+        grids = H.signed_grid(H.packed_regular(self._m2m_offsets, p))
+        _sweep("m2m", self._m2m_groups, grids, p, M, M)
         return M
 
     def _leaf_multipoles(self, q, dip, p, C, M):
@@ -253,41 +258,17 @@ class FmmPlan:
                 s, e = max(starts[i], lo), min(ends[i], hi)
                 visit(i, s, e, R[s - lo:e - lo])
 
-    def _vertical_sweep(self, tree, coeffs, p, upward):
-        """M2M (upward) or L2L (downward) between parents and children."""
-        groups = self._m2m_groups if upward else self._l2l_groups
-        if not groups:
-            return
-        offsets = self._m2m_offsets if upward else self._l2l_offsets
-        grids = H.signed_grid(H.packed_regular(offsets, p))
-        maps = H.translation_maps("m2m" if upward else "l2l", p)
-        signs = H.reflection_signs(p)
-        for g in range(len(groups) - 1, -1, -1) if upward else range(len(groups)):
-            T = H.assemble(grids[g], maps)
-            for children, parents, flip in groups[g]:
-                if upward:
-                    # a parent has one child per octant, so parents are unique here
-                    _translate(T, signs[flip], coeffs, children, coeffs, parents)
-                else:
-                    _translate(T, signs[flip], coeffs, parents, coeffs, children)
-
     def _m2l_sweep(self, M, p, C, size):
         L = np.zeros((self.tgt_tree.n_cells, C, size))
-        if not len(self._m2l_offsets):
-            return L
-        grids = self._igrids(p)
-        maps = H.translation_maps("m2l", p)
-        signs = H.reflection_signs(p)
-        for g, members in enumerate(self._m2l_groups):
-            T = H.assemble(grids[g], maps)
-            for src, tgt, flip in members:
-                # targets are unique within one offset
-                _translate(T, signs[flip], M, src, L, tgt)
+        _sweep("m2l", self._m2l_groups, self._igrids(p), p, M, L)
         L *= H.row_sign(p)
         return L
 
     def _l2l_sweep(self, L, p):
-        self._vertical_sweep(self.tgt_tree, L, p, upward=False)
+        # largest offset, so shallowest level, first: a parent's local
+        # expansion is complete before it moves down
+        grids = H.signed_grid(H.packed_regular(self._l2l_offsets, p))
+        _sweep("l2l", self._l2l_groups[::-1], grids[::-1], p, L, L)
 
     def _l2p(self, L, p, pot, grad):
         """Potential (and gradient) rows of every leaf against its bodies'
@@ -310,8 +291,7 @@ class FmmPlan:
 
     def p2p_items(self):
         """(target body indices, source body indices) per P2P target leaf."""
-        for t in sorted(self._p2p_sources):
-            yield self._tgt_bodies(t), self._p2p_sources[t]
+        return ((targets, sources) for targets, sources, _ in self._p2p)
 
     def near_field(self, charges=None, dipoles=None, want_gradient=False):
         """Direct 1/r (and dipole) sums over the P2P pairs.
@@ -324,7 +304,7 @@ class FmmPlan:
         nt = len(self.tgt_tree.points)
         pot = np.zeros((C, nt))
         grad = np.zeros((C, nt, 3)) if want_gradient else None
-        for (tidx, sidx), geo in zip(self.p2p_items(), self._p2p_geometry):
+        for tidx, sidx, geo in self._p2p:
             v, g = laplace_sum(geo, self.src_tree.points[sidx],
                                None if charges is None else charges[:, sidx],
                                None if dipoles is None else dipoles[:, sidx], want_gradient)
@@ -357,10 +337,3 @@ def evaluate(kernel, src_pos, weights, targets, p, theta=0.5, n_crit=126,
     return kernel_sum(kernel, functools.partial(plan.channel_sum, p=p), src_pos, weights,
                       targets, normals)
 
-
-def multipole_error_bound(total_abs_charge, cluster_radius, distance, p):
-    """Greengard-style truncation bound: sum|q| / (r - a) * (a/r)^(p+1)."""
-    a, r = cluster_radius, distance
-    if r <= a:
-        raise ValueError("target must lie outside the cluster radius")
-    return total_abs_charge / (r - a) * (a / r) ** (p + 1)

@@ -18,7 +18,7 @@ class Octree:
     """
 
     def __init__(self, points, perm, center, half_width, level, parent,
-                 children, body_start, body_count, n_crit):
+                 children, body_start, body_count):
         self.points = points
         self.perm = perm
         self.sorted_points = points[perm]
@@ -29,7 +29,6 @@ class Octree:
         self.children = children           # (ncells, 8) int, -1 for absent
         self.body_start = body_start
         self.body_count = body_count
-        self.n_crit = n_crit
         self.is_leaf = np.all(children < 0, axis=1)
         self.leaves = np.flatnonzero(self.is_leaf)
         order = np.argsort(body_start[self.leaves], kind="stable")
@@ -131,5 +130,5 @@ def build_tree(points, n_crit, root_center=None, root_half=None):
         pts, perm,
         np.asarray(centers), np.asarray(halves),
         np.asarray(levels, dtype=np.intp), np.asarray(parents, dtype=np.intp),
-        children_arr, starts_arr, counts_arr, n_crit,
+        children_arr, starts_arr, counts_arr,
     )

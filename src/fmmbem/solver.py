@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fmm import required_p
+
 
 def relax_eps(residual, eta):
     """Per-iteration mat-vec accuracy budget from the current relative residual."""
@@ -26,9 +28,7 @@ def relax_eps(residual, eta):
 
 def schedule_p(residual, eta, p_initial, p_min):
     """Expansion order for the next iteration under the relaxation rule."""
-    eps = relax_eps(residual, eta)
-    p = math.ceil(-math.log2(eps)) if eps < 1.0 else p_min
-    return int(min(p_initial, max(p_min, p)))
+    return int(min(p_initial, max(p_min, required_p(relax_eps(residual, eta)))))
 
 
 @dataclass
@@ -73,7 +73,7 @@ class SolveResult:
                 fh.write(f"{k},{r:.17g},{p}\n")
 
 
-def gmres(apply_fn, b, schedule=None, tol=1e-5, max_iter=100, callback=None):
+def gmres(apply_fn, b, schedule=None, tol=1e-5, max_iter=100):
     """Unrestarted GMRES on y = apply_fn(x, p) with a per-iteration order p.
 
     apply_fn: callable (x, p) -> A x.  schedule: RelaxationSchedule (defaults
@@ -133,8 +133,6 @@ def gmres(apply_fn, b, schedule=None, tol=1e-5, max_iter=100, callback=None):
         residual = abs(g[k + 1]) / norm_b
         result.residuals.append(residual)
         result.orders.append(p)
-        if callback is not None:
-            callback(k + 1, residual, p)
         if residual < tol:
             result.converged = True
             break
@@ -148,10 +146,8 @@ def gmres(apply_fn, b, schedule=None, tol=1e-5, max_iter=100, callback=None):
     return result
 
 
-def solve(operator, b, eta=1e-5, p_initial=12, p_min=1, relaxed=True,
-          max_iter=100, callback=None):
+def solve(operator, b, eta=1e-5, p_initial=12, p_min=1, relaxed=True, max_iter=100):
     """Convenience wrapper: relaxed (or fixed-order) GMRES on a BEM operator."""
     schedule = RelaxationSchedule(p_initial=p_initial, p_min=p_min, eta=eta,
                                   relaxed=relaxed)
-    return gmres(operator.apply, b, schedule=schedule, tol=eta,
-                 max_iter=max_iter, callback=callback)
+    return gmres(operator.apply, b, schedule=schedule, tol=eta, max_iter=max_iter)

@@ -4,8 +4,9 @@ The package runs only the packed real forms of :mod:`fmmbem.harmonics`.
 These are what the tests check them against: the complex harmonics
 R_n^m and I_n^m as defined in that module's docstring, the translation
 maps derived in complex arithmetic, a dense translation operator per
-offset, the gradient shift of a multipole expansion, and point-to-expansion
-and expansion-to-point evaluation built from the packed pieces.
+offset, the gradient shift of a multipole expansion, point-to-expansion
+and expansion-to-point evaluation built from the packed pieces, and the
+truncation bound of a multipole expansion.
 """
 
 import numpy as np
@@ -177,3 +178,11 @@ def _field(values, want_gradient):
     if not want_gradient:
         return values[..., 0, :]
     return values[..., 0, :], np.moveaxis(values[..., 1:, :], -2, -1)
+
+
+def multipole_error_bound(total_abs_charge, cluster_radius, distance, p):
+    """Greengard-style truncation bound: sum|q| / (r - a) * (a/r)^(p+1)."""
+    a, r = cluster_radius, distance
+    if r <= a:
+        raise ValueError("target must lie outside the cluster radius")
+    return total_abs_charge / (r - a) * (a / r) ** (p + 1)

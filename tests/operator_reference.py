@@ -1,11 +1,13 @@
 """Per-pair and per-kind forms of the operator build, kept as references.
 
-The package builds the tree traversal and the near-pair corrections in
-whole-array passes: the traversal one tree level at a time, the corrections
-of both kernels of a formulation in one pass over one 23-point rule per
-pair.  These are the forms the tests check them against: the traversal one
-cell pair at a time, the rule sums one kernel at a time, and each kernel's
-correction as fine-rule sums minus coarse-rule sums.
+The package builds the tree traversal, the near-pair corrections and the
+interaction counts in whole-array passes: the traversal one tree level at
+a time, the corrections of both kernels of a formulation in one pass over
+one 23-point rule per pair, the counts as per-cell sums pushed down the
+target tree.  These are the forms the tests check them against: the
+traversal one cell pair at a time, the rule sums one kernel at a time,
+each kernel's correction as fine-rule sums minus coarse-rule sums, and the
+counts one pair at a time.
 """
 
 import math
@@ -88,3 +90,16 @@ def correction_blocks(op, kind, pairs):
     elif kind is KernelKind.STOKESLET:
         deltas[own] += Q.integrate_singular_stokeslet(pv[sj[own]])
     return deltas
+
+
+def interaction_counts(plan):
+    """Sources accounted for per target of an FmmPlan, one M2L pair at a time
+    and one P2P target leaf at a time."""
+    tgt = plan.tgt_tree
+    counts = np.zeros(len(tgt.points))
+    for s, t in plan.m2l_pairs:
+        start = tgt.body_start[t]
+        counts[tgt.perm[start:start + tgt.body_count[t]]] += plan.src_tree.body_count[s]
+    for tidx, sidx in plan.p2p_items():
+        counts[tidx] += len(sidx)
+    return counts

@@ -256,7 +256,7 @@ def test_criterion_7_fmm_accuracy():
     bounded = []
     for p in (2, 5, 8):
         approx = HR.multipole_to_point(HR.particle_to_multipole(src, qc, p), tgt, p)[0] / FOUR_PI
-        bound = F.multipole_error_bound(qc.sum(), a, 2 * a, p) / FOUR_PI
+        bound = HR.multipole_error_bound(qc.sum(), a, 2 * a, p) / FOUR_PI
         bounded.append(abs(approx - exact) <= bound)
     ok = err <= 1e-6 and all(bounded)
     _line(7, ok, f"10^4 sources p=15: rel L2 {err:.2e} (<= 1e-6); "

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import harmonics_reference as HR
 import operator_reference as OR
+from fmmbem import fmm
 from fmmbem import mesh as M
 from fmmbem import quadrature as Q
-from fmmbem.fmm import FmmPlan, dual_traversal, evaluate, multipole_error_bound, required_p
+from fmmbem.fmm import FmmPlan, dual_traversal, evaluate, required_p
 from fmmbem.kernels import FOUR_PI, KernelKind, direct_sum, laplace_sum
 from fmmbem.octree import bounding_cube, build_tree
 
@@ -41,6 +42,77 @@ def test_traversal_accounts_every_pair():
     plan = FmmPlan(pos, tgt, n_crit=30, theta=0.5)
     counts = plan.interaction_counts()
     np.testing.assert_array_equal(counts, np.full(len(tgt), len(pos)))
+
+
+def _sphere_plan():
+    pts, _ = Q.quadrature_points(M.make_sphere(3).panel_vertices, Q.FAR_RULE)
+    return FmmPlan(pts.reshape(-1, 3), pts[:, 0], n_crit=32)
+
+
+def _cloud_plan():
+    rng = np.random.default_rng(3)
+    return FmmPlan(rng.uniform(0.0, 1.0, size=(700, 3)), rng.uniform(0.0, 1.0, size=(300, 3)),
+                   n_crit=30)
+
+
+def _child_parent(tree):
+    kids = np.flatnonzero(tree.parent >= 0)
+    return kids, tree.parent[kids]
+
+
+@pytest.mark.parametrize("make_plan", [_sphere_plan, _cloud_plan])
+def test_offset_groups_partition_every_translation(make_plan, monkeypatch):
+    """The groups each sweep runs hold every cell pair of its translation
+    once, no destination cell twice within a member, and each member's
+    offset is its group's offset reflected by the member's flip.  M2M runs
+    deepest level first and L2L shallowest first."""
+    plan = make_plan()
+    runs, sweep = {}, fmm._sweep
+
+    def record(kind, groups, *args):
+        runs[kind] = groups
+        return sweep(kind, groups, *args)
+
+    monkeypatch.setattr(fmm, "_sweep", record)
+    plan.far_field(charges=np.ones((1, len(plan.src_tree.points))), p=2)
+    src, tgt = plan.src_tree, plan.tgt_tree
+    kids, parents = _child_parent(src)
+    tgt_kids, tgt_parents = _child_parent(tgt)
+    expected = {"m2m": (kids, parents), "l2l": (tgt_parents, tgt_kids),
+                "m2l": tuple(plan.m2l_pairs.T)}
+    for kind, (a, b) in expected.items():
+        members = [m for group in runs[kind] for m in group]
+        found = [pair for a_m, b_m, _ in members for pair in zip(a_m.tolist(), b_m.tolist())]
+        assert len(found) == len(a) and set(found) == set(zip(a.tolist(), b.tolist()))
+        assert all(len(np.unique(b_m)) == len(b_m) for _, b_m, _ in members)
+    m2m_levels = [np.unique(np.concatenate([src.level[a_m] for a_m, _, _ in g]))
+                  for g in runs["m2m"]]
+    l2l_levels = [np.unique(np.concatenate([tgt.level[b_m] for _, b_m, _ in g]))
+                  for g in runs["l2l"]]
+    assert all(len(lv) == 1 for lv in m2m_levels + l2l_levels)
+    assert np.all(np.diff(np.concatenate(m2m_levels)) < 0)
+    assert np.all(np.diff(np.concatenate(l2l_levels)) > 0)
+    # each translation's offset: target minus source, child minus parent
+    stored = [(plan._m2l_offsets, plan._m2l_groups, lambda a, b: tgt.center[b] - src.center[a]),
+              (plan._m2m_offsets, plan._m2m_groups, lambda a, b: src.center[a] - src.center[b]),
+              (plan._l2l_offsets, plan._l2l_groups, lambda a, b: tgt.center[b] - tgt.center[a])]
+    for offsets, groups, offset_of in stored:
+        for offset, members in zip(offsets, groups):
+            for a_m, b_m, flip in members:
+                sign = np.where([flip & 1, flip & 2, flip & 4], -1.0, 1.0)
+                d = offset_of(a_m, b_m)
+                np.testing.assert_allclose(d, np.broadcast_to(sign * offset, d.shape),
+                                           rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make_plan", [_sphere_plan, _cloud_plan])
+def test_interaction_counts_match_per_pair_loop(make_plan):
+    """The per-cell counts pushed down the target tree equal the per-pair
+    loop, also for an M2L list with a pair dropped and one doubled."""
+    plan = make_plan()
+    np.testing.assert_array_equal(plan.interaction_counts(), OR.interaction_counts(plan))
+    plan.m2l_pairs = np.vstack([plan.m2l_pairs[1:], plan.m2l_pairs[-1:]])
+    np.testing.assert_array_equal(plan.interaction_counts(), OR.interaction_counts(plan))
 
 
 def _pair_set(pairs):
@@ -126,7 +198,7 @@ def test_single_cluster_error_bound():
     for p in (2, 5, 8):
         exp = HR.particle_to_multipole(src, q, p)
         val = HR.multipole_to_point(exp, tgt, p)[0] / FOUR_PI
-        bound = multipole_error_bound(np.abs(q).sum(), a, 2 * a, p) / FOUR_PI
+        bound = HR.multipole_error_bound(np.abs(q).sum(), a, 2 * a, p) / FOUR_PI
         assert abs(val - ref) <= bound
 
 
@@ -175,7 +247,7 @@ def test_plan_reuse_across_orders():
 
 def test_error_bound_requires_separation():
     with pytest.raises(ValueError):
-        multipole_error_bound(1.0, 1.0, 0.5, 4)
+        HR.multipole_error_bound(1.0, 1.0, 0.5, 4)
 
 
 def _near_field_by_leaf(plan, q, dip):

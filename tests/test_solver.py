@@ -1,5 +1,7 @@
 """GMRES correctness and the relaxation schedule's properties."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,13 +57,16 @@ def test_relax_eps_in_unit_interval(r, eta):
 
 
 @given(r=st.floats(1e-12, 10.0), eta=st.floats(1e-10, 1e-1),
-       p_initial=st.integers(2, 20), p_min=st.integers(1, 20))
+       p_initial=st.integers(2, 20), p_min=st.integers(0, 20))
 @settings(max_examples=200, deadline=None)
 def test_schedule_p_clamped(r, eta, p_initial, p_min):
     if p_min > p_initial:
         p_min = p_initial
     p = solver.schedule_p(r, eta, p_initial, p_min)
     assert p_min <= p <= p_initial
+    # the rule of the module docstring, with a budget of 1 asking for p_min
+    eps = solver.relax_eps(r, eta)
+    assert p == min(p_initial, max(p_min, math.ceil(-math.log2(eps)) if eps < 1.0 else p_min))
 
 
 def test_schedule_p_monotone_in_residual():
