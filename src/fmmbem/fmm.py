@@ -87,16 +87,19 @@ def _offset_groups(pairs, offsets, quantum):
     """
     keys = np.round(offsets / quantum).astype(np.int64)
     flips = (keys < 0) @ np.array([1, 2, 4])
-    mirrored, inverse = np.unique(np.abs(keys), axis=0, return_inverse=True)
-    code = 8 * inverse.ravel() + flips
-    order = np.argsort(code, kind="stable")
-    starts = np.flatnonzero(np.diff(code[order], prepend=-1))
-    groups = [[] for _ in mirrored]
+    mirrored = np.abs(keys)
+    # by mirrored offset (x first), then flip; lexsort is stable
+    order = np.lexsort((flips, mirrored[:, 2], mirrored[:, 1], mirrored[:, 0]))
+    step = np.diff(np.column_stack([flips, mirrored])[order], axis=0, prepend=-1) != 0
+    new_offset = step[:, 1:].any(axis=1)
+    starts = np.flatnonzero(step.any(axis=1))
+    groups = []
     for lo, hi in zip(starts, np.append(starts[1:], len(order))):
+        if new_offset[lo]:
+            groups.append([])
         members = pairs[order[lo:hi]]
-        c = code[order[lo]]
-        groups[c // 8].append((members[:, 0], members[:, 1], c % 8))
-    return mirrored * quantum, groups
+        groups[-1].append((members[:, 0], members[:, 1], flips[order[lo]]))
+    return mirrored[order[new_offset]] * quantum, groups
 
 
 def _child_parent(tree):

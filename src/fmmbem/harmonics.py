@@ -34,11 +34,14 @@ packed arrays:
 
 Every translation is a real ``(p+1)^2 x (p+1)^2`` matrix whose entries are
 signed entries of one packed harmonic grid, summed in pairs, and reflecting
-the offset in an axis only flips signs of its rows and columns.  Gradients
-and dipole sources act on coefficients through index and weight tables:
-each output slot is a weighted sum of at most two input slots per axis.
+the offset in an axis only flips signs of its rows and columns.  A
+gradient or a dipole source is a translation by an infinitesimal offset,
+so its operator is the L2L or M2M operator of the offset's n = 1
+harmonics; it acts on coefficients through index and weight tables, each
+output slot a weighted sum of at most two input slots per axis.
 
-All functions are batched over the leading axis and stateless.
+Functions are batched over the leading axis.  ``translation_maps`` and
+``shift_terms`` cache their tables per order; nothing else keeps state.
 """
 
 from functools import lru_cache
@@ -116,15 +119,6 @@ def _slots(p):
     """(n, m) of every packed slot of order p."""
     n = np.repeat(np.arange(p + 1), 2 * np.arange(p + 1) + 1)
     return n, np.arange(num_coeffs(p)) - n * n - n
-
-
-def _full_terms(n, m):
-    """Packed slots and weights of full indices: c_n^m = w1 P[s1] + w2 P[s2]."""
-    mu = np.abs(m)
-    odd = (-1.0) ** mu
-    w1 = np.where(m < 0, odd, 1.0)
-    w2 = np.where(m > 0, 1j, np.where(m < 0, -1j * odd, 0.0))
-    return (flat_index(n, mu), flat_index(n, -mu)), (w1, w2)
 
 
 def _odd(m):
@@ -251,62 +245,6 @@ def reflection_signs(p):
 
 # -- gradients and dipoles on coefficients ---------------------------------------
 
-# Complex shift rules as (dn, [(dm, factor), ...]) per axis: the output slot
-# (n, m) takes factor * c_{n+dn}^{m+dm} of the input set.
-_SHIFTS = {
-    # d/dx_a of sum L_n^m R_n^m(x) is a local expansion with coefficients
-    # L_{n+1} shifted in m
-    "local": (1, [[(-1, 0.5), (1, -0.5)], [(-1, -0.5j), (1, -0.5j)], [(0, 1.0)]]),
-    # a dipole d at y adds d . grad_y R_n^m(y): the adjoint of the local rule
-    "dipole": (-1, [[(1, 0.5), (-1, -0.5)], [(1, -0.5j), (-1, -0.5j)], [(0, 1.0)]]),
-}
-
-
-def _shift_entries(rule, q, adjoint):
-    """(rows, cols, values) of a packed shift operator of order q, duplicates unsummed.
-
-    rule is a (dn, axes) entry of _SHIFTS.  Axis a writes output block a of
-    three stacked order-q sets, or, adjoint, reads input block a.
-    """
-    dn, axes = rule
-    size = num_coeffs(q)
-    n, m = _slots(q)
-    mu = np.abs(m)
-    out_w = np.where(m < 0, -1j, 1.0)            # P_r = Re(out_w c_(n, |m|))
-    rows, cols, vals = [], [], []
-    for a, terms in enumerate(axes):
-        for dm, factor in terms:
-            src_n, src_m = n + dn, mu + dm
-            ok = (src_n >= 0) & (src_n <= q) & (np.abs(src_m) <= src_n)
-            slots, ws = _full_terms(src_n[ok], src_m[ok])
-            for slot, w in zip(slots, ws):
-                if adjoint:
-                    rows.append(np.flatnonzero(ok))
-                    cols.append(slot + a * size)
-                else:
-                    rows.append(np.flatnonzero(ok) + a * size)
-                    cols.append(slot)
-                vals.append(np.real(out_w[ok] * factor * w))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-
-
-def _shift_tables(rows, cols, vals, n_in, n_out):
-    """Index and weight tables, both (K, n_out), of an (n_out, n_in) operator's entries."""
-    # sum repeated (row, col) entries and drop the zeros, in row-major order
-    codes, inverse = np.unique(rows * n_in + cols, return_inverse=True)
-    vals = np.bincount(inverse.ravel(), weights=vals, minlength=len(codes))
-    keep = vals != 0.0
-    codes, vals = codes[keep], vals[keep]
-    rows, cols = np.divmod(codes, n_in)
-    counts = np.bincount(rows, minlength=n_out)
-    term = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    index = np.zeros((counts.max(initial=0), n_out), dtype=np.intp)
-    weight = np.zeros(index.shape)
-    index[term, rows] = cols
-    weight[term, rows] = vals
-    return index, weight
-
-
 @lru_cache(maxsize=8)
 def shift_terms(kind, p):
     """Index and weight tables of the packed gradient or dipole shifts.
@@ -316,14 +254,32 @@ def shift_terms(kind, p):
     local field.  'dipole': three order-p moment sets flattened to
     3 (p+1)^2 -> one order-p multipole set.
 
+    Both are translations by an infinitesimal offset d: d/dx_a of a local
+    expansion is d/dd_a of its L2L translation at d = 0, and a dipole's
+    multipole d . grad R(y) is d/dd_a of the M2M translation of R(y).  Only
+    the n = 1 harmonics of d are linear in d, so the operator of axis a is
+    the translation assembled from the n = 1 part of R(e_a).
+
     Returns (index, weight), both (K, S_out): output slot r is
     sum_k weight[k, r] * input[index[k, r]].  K is at most 2 for 'local' and
     5 for 'dipole'; unused terms have weight 0.
     """
-    adjoint = kind == "dipole"
-    size = num_coeffs(p)
-    n_in, n_out = (3 * size, size) if adjoint else (size, 3 * size)
-    return _shift_tables(*_shift_entries(_SHIFTS[kind], p, adjoint), n_in, n_out)
+    n, _ = _slots(p)
+    grids = np.where(n == 1, packed_regular(np.eye(3), p), 0.0)
+    maps = translation_maps("m2m" if kind == "dipole" else "l2l", p)
+    # 'local' stacks the three axes as row blocks (3S x S), 'dipole' as
+    # column blocks (S x 3S)
+    op = np.concatenate([assemble(g, maps) for g in signed_grid(grids)],
+                        axis=1 if kind == "dipole" else 0)
+    # the nonzeros, row-major: one table term each
+    rows, cols = np.nonzero(op)
+    counts = np.bincount(rows, minlength=len(op))
+    term = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.zeros((counts.max(initial=0), len(op)), dtype=np.intp)
+    weight = np.zeros(index.shape)
+    index[term, rows] = cols
+    weight[term, rows] = op[rows, cols]
+    return index, weight
 
 
 def _apply_shift(X, terms, size):

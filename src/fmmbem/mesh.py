@@ -118,16 +118,16 @@ RBC_SCALE = 3.91
 RBC_SHAPE = (0.81, 7.83, -4.39)
 
 
-def rbc_transform(points, scale=RBC_SCALE, shape=RBC_SHAPE):
-    """Map unit-sphere points to a biconcave disc of diameter 2 * scale.
+def rbc_transform(points):
+    """Map unit-sphere points to a biconcave disc of diameter 2 * RBC_SCALE.
 
-    With s = rho / scale the height profile is
-    z = sign(z0) * 0.5 * sqrt(1 - s^2) * (C0 + C2 s^2 + C4 s^4),
-    applied to sphere points scaled so their equatorial radius is `scale`.
+    With s = rho / RBC_SCALE and (C0, C2, C4) = RBC_SHAPE the height profile
+    is z = sign(z0) * 0.5 * sqrt(1 - s^2) * (C0 + C2 s^2 + C4 s^4), applied
+    to sphere points scaled so their equatorial radius is RBC_SCALE.
     """
-    pts = np.asarray(points, dtype=float) * scale
-    c0, c2, c4 = shape
-    s2 = (pts[:, 0] ** 2 + pts[:, 1] ** 2) / scale ** 2
+    pts = np.asarray(points, dtype=float) * RBC_SCALE
+    c0, c2, c4 = RBC_SHAPE
+    s2 = (pts[:, 0] ** 2 + pts[:, 1] ** 2) / RBC_SCALE ** 2
     s2 = np.clip(s2, 0.0, 1.0)
     height = 0.5 * np.sqrt(1.0 - s2) * (c0 + c2 * s2 + c4 * s2 ** 2)
     out = pts.copy()
@@ -135,10 +135,10 @@ def rbc_transform(points, scale=RBC_SCALE, shape=RBC_SHAPE):
     return out
 
 
-def make_rbc(level, scale=RBC_SCALE, shape=RBC_SHAPE):
+def make_rbc(level):
     """Biconcave-disc mesh obtained by remapping an octahedral sphere mesh."""
     sphere = make_sphere(level)
-    return Mesh(rbc_transform(sphere.vertices, scale, shape), sphere.triangles)
+    return Mesh(rbc_transform(sphere.vertices), sphere.triangles)
 
 
 def _random_rotation(rng):
@@ -156,22 +156,26 @@ def _random_rotation(rng):
     ])
 
 
-def make_scene(n_bodies, level, radius=1.0, spacing_margin=0.05, seed=0):
-    """Several randomly oriented spheres packed without overlap.
+# relative clearance between the bounding spheres of make_scene's bodies
+SCENE_MARGIN = 0.05
+
+
+def make_scene(n_bodies, level, seed=0):
+    """Several randomly oriented unit spheres packed without overlap.
 
     Bodies are placed on a jittered cubic grid whose pitch guarantees at
-    least ``spacing_margin`` relative clearance between bounding spheres.
+    least SCENE_MARGIN relative clearance between bounding spheres.
     Returns a single merged mesh.
     """
     if n_bodies < 1:
         raise ValueError("n_bodies must be >= 1")
     rng = np.random.default_rng(seed)
     side = int(np.ceil(n_bodies ** (1.0 / 3.0)))
-    pitch = 2.0 * radius * (1.0 + spacing_margin) * 1.2
+    pitch = 2.0 * (1.0 + SCENE_MARGIN) * 1.2
     cells = [(i, j, k) for i in range(side) for j in range(side) for k in range(side)]
     centers = np.asarray(cells[:n_bodies], dtype=float) * pitch
-    centers += rng.uniform(-0.08, 0.08, size=centers.shape) * radius
-    base = make_sphere(level, radius=radius)
+    centers += rng.uniform(-0.08, 0.08, size=centers.shape)
+    base = make_sphere(level)
     verts, tris = [], []
     offset = 0
     for c in centers:

@@ -5,6 +5,8 @@ import numpy as np
 # Depth cap of every tree: coincident points beyond a leaf's capacity stop
 # splitting here.  FmmPlan keys its M2L offsets on a lattice this fine.
 MAX_DEPTH = 20
+# relative (and absolute) padding of the root cube around the points
+CUBE_PAD = 1e-6
 
 
 class Octree:
@@ -46,14 +48,14 @@ class Octree:
         return len(self.center)
 
 
-def bounding_cube(points, pad=1e-6):
-    """Center and half-width of a cube covering the points, slightly padded."""
+def bounding_cube(points):
+    """Center and half-width of a cube covering the points, padded by CUBE_PAD."""
     pts = np.asarray(points, dtype=float)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     center = 0.5 * (lo + hi)
     half = 0.5 * float(np.max(hi - lo))
-    half = half * (1.0 + pad) + pad
+    half = half * (1.0 + CUBE_PAD) + CUBE_PAD
     return center, half
 
 

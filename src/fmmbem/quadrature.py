@@ -80,14 +80,12 @@ SINGULAR_CHUNK = 256
 
 
 def panel_geometry(vertices):
-    """(centroid, unit normal, area) of one or many triangles.
+    """(centroid, unit normal, area) of triangles, shaped (P, 3), (P, 3), (P,).
 
-    vertices: (3, 3) or (P, 3, 3); normal follows the right-hand rule on the
-    vertex ordering.
+    vertices: (P, 3, 3); normal follows the right-hand rule on the vertex
+    ordering.
     """
     v = np.asarray(vertices, dtype=float)
-    single = v.ndim == 2
-    v = v[None] if single else v
     centroid = v.mean(axis=1)
     cross = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
     norm = np.linalg.norm(cross, axis=1)
@@ -95,25 +93,19 @@ def panel_geometry(vertices):
         raise ValueError("degenerate triangle")
     normal = cross / norm[:, None]
     area = 0.5 * norm
-    if single:
-        return centroid[0], normal[0], area[0]
     return centroid, normal, area
 
 
 def quadrature_points(vertices, rule):
     """Physical quadrature points and weights (including the panel area).
 
-    vertices: (3, 3) or (P, 3, 3).  Returns points (..., K, 3) and weights
-    (..., K) such that sum(w_k f(x_k)) approximates the surface integral.
+    vertices: (P, 3, 3).  Returns points (P, K, 3) and weights (P, K) such
+    that sum(w_k f(x_k)) approximates the surface integral.
     """
     v = np.asarray(vertices, dtype=float)
-    single = v.ndim == 2
-    v = v[None] if single else v
     _, _, area = panel_geometry(v)
     pts = np.einsum("kc,pcd->pkd", rule.bary, v)
     wts = area[:, None] * rule.weights[None, :]
-    if single:
-        return pts[0], wts[0]
     return pts, wts
 
 
@@ -160,12 +152,10 @@ def _polar_subtriangles(uv):
 
 
 def _over_blocks(block_fn, vertices):
-    """block_fn over (3, 3) or (P, 3, 3) vertices, SINGULAR_CHUNK panels at a time."""
+    """block_fn over (P, 3, 3) vertices, SINGULAR_CHUNK panels at a time."""
     v = np.asarray(vertices, dtype=float)
-    flat = v.reshape(-1, 3, 3)
-    out = np.concatenate([block_fn(flat[lo:lo + SINGULAR_CHUNK])
-                          for lo in range(0, len(flat), SINGULAR_CHUNK)])
-    return out[0] if v.ndim == 2 else out
+    return np.concatenate([block_fn(v[lo:lo + SINGULAR_CHUNK])
+                           for lo in range(0, len(v), SINGULAR_CHUNK)])
 
 
 def _laplace_block(v):
@@ -188,18 +178,18 @@ def _stokeslet_block(v):
 def integrate_singular_laplace(vertices):
     """Integral of 1/(4 pi r) over triangles, singularity at each centroid.
 
-    vertices: (3, 3) or (P, 3, 3); returns a float or (P,).  Radial
-    integration is exact; the angular factor R(phi) is integrated by
-    Gauss-Legendre on three centroid-vertex sub-triangles.
+    vertices: (P, 3, 3); returns (P,).  Radial integration is exact; the
+    angular factor R(phi) is integrated by Gauss-Legendre on three
+    centroid-vertex sub-triangles.
     """
     return _over_blocks(_laplace_block, vertices)
 
 
 def integrate_singular_stokeslet(vertices):
-    """(3, 3) integral of the bare stokeslet over its own triangle.
+    """(3, 3) integral of the bare stokeslet over each triangle.
 
-    vertices: (3, 3) or (P, 3, 3); returns (3, 3) or (P, 3, 3).  In the panel
-    plane G = (I + u u^T)/r with u the in-plane unit direction, so the radial
+    vertices: (P, 3, 3); returns (P, 3, 3).  In the panel plane
+    G = (I + u u^T)/r with u the in-plane unit direction, so the radial
     integral is R(phi) (I + u u^T); the result is rotated back to global axes.
     """
     return _over_blocks(_stokeslet_block, vertices)

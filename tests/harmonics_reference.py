@@ -3,7 +3,8 @@
 The package runs only the packed real forms of :mod:`fmmbem.harmonics`.
 These are what the tests check them against: the complex harmonics
 R_n^m and I_n^m as defined in that module's docstring, the translation
-maps derived in complex arithmetic, a dense translation operator per
+maps derived in complex arithmetic, the gradient and dipole shift tables
+derived from the complex shift rules, a dense translation operator per
 offset, the gradient shift of a multipole expansion, point-to-expansion
 and expansion-to-point evaluation built from the packed pieces, and the
 truncation bound of a multipole expansion.
@@ -65,6 +66,15 @@ def irregular(vecs, p):
     return out
 
 
+def full_terms(n, m):
+    """Packed slots and weights of full indices: c_n^m = w1 P[s1] + w2 P[s2]."""
+    mu = np.abs(m)
+    odd = (-1.0) ** mu
+    w1 = np.where(m < 0, odd, 1.0)
+    w2 = np.where(m > 0, 1j, np.where(m < 0, -1j * odd, 0.0))
+    return (flat_index(n, mu), flat_index(n, -mu)), (w1, w2)
+
+
 def translation_maps(kind, p):
     """The index maps of :func:`fmmbem.harmonics.translation_maps`, derived
     from the complex weights of the full coefficients."""
@@ -78,13 +88,13 @@ def translation_maps(kind, p):
     maps = []
     for sgn in (1, -1):
         full_m = sgn * np.abs(m_i)
-        _, (w1, w2) = H._full_terms(n_i, full_m)
+        _, (w1, w2) = full_terms(n_i, full_m)
         w_i = np.where(m_i < 0, w2, w1)
         present = (sgn > 0) | (m_i != 0)
         nu, mu = grid_nm(n_o[:, None], o_mu, n_i[None, :], full_m[None, :])
         valid = (nu >= 0) & (np.abs(mu) <= nu) & present[None, :]
         # grid entry g = g1 G[re_idx] + i g_im G[im_idx]
-        (re_idx, im_idx), (g1, g2) = H._full_terms(np.where(valid, nu, 0),
+        (re_idx, im_idx), (g1, g2) = full_terms(np.where(valid, nu, 0),
                                                    np.where(valid, mu, 0))
         g_im = -g2.imag if conj else g2.imag
         u = o_w * w_i[None, :]                   # a unit: +-1 or +-i
@@ -97,21 +107,84 @@ def translation_maps(kind, p):
     return tuple(maps)
 
 
-# d/dx_a of sum M_n^m conj(I_n^m(x)) is a multipole expansion one order up,
-# as a rule of fmmbem.harmonics._SHIFTS
-MULTIPOLE_SHIFT = (-1, [[(-1, 0.5), (1, -0.5)], [(-1, 0.5j), (1, 0.5j)], [(0, -1.0)]])
+# Complex shift rules as (dn, [(dm, factor), ...]) per axis: the output slot
+# (n, m) takes factor * c_{n+dn}^{m+dm} of the input set.  These are the
+# gradient rules of fmmbem.harmonics' docstring.
+SHIFTS = {
+    # d/dx_a of sum L_n^m R_n^m(x) is a local expansion with coefficients
+    # L_{n+1} shifted in m
+    "local": (1, [[(-1, 0.5), (1, -0.5)], [(-1, -0.5j), (1, -0.5j)], [(0, 1.0)]]),
+    # a dipole d at y adds d . grad_y R_n^m(y): the adjoint of the local rule
+    "dipole": (-1, [[(1, 0.5), (-1, -0.5)], [(1, -0.5j), (-1, -0.5j)], [(0, 1.0)]]),
+    # d/dx_a of sum M_n^m conj(I_n^m(x)) is a multipole expansion one order up
+    "multipole": (-1, [[(-1, 0.5), (1, -0.5)], [(-1, 0.5j), (1, 0.5j)], [(0, -1.0)]]),
+}
+
+
+def shift_entries(kind, q):
+    """(rows, cols, values) of a packed shift operator of order q, duplicates unsummed.
+
+    Axis a of the SHIFTS rule writes output block a of three stacked order-q
+    sets, or, for 'dipole' (the adjoint), reads input block a.
+    """
+    dn, axes = SHIFTS[kind]
+    adjoint = kind == "dipole"
+    size = num_coeffs(q)
+    n, m = H._slots(q)
+    mu = np.abs(m)
+    out_w = np.where(m < 0, -1j, 1.0)            # P_r = Re(out_w c_(n, |m|))
+    rows, cols, vals = [], [], []
+    for a, terms in enumerate(axes):
+        for dm, factor in terms:
+            src_n, src_m = n + dn, mu + dm
+            ok = (src_n >= 0) & (src_n <= q) & (np.abs(src_m) <= src_n)
+            slots, ws = full_terms(src_n[ok], src_m[ok])
+            for slot, w in zip(slots, ws):
+                if adjoint:
+                    rows.append(np.flatnonzero(ok))
+                    cols.append(slot + a * size)
+                else:
+                    rows.append(np.flatnonzero(ok) + a * size)
+                    cols.append(slot)
+                vals.append(np.real(out_w[ok] * factor * w))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def shift_tables(rows, cols, vals, n_in, n_out):
+    """Index and weight tables, both (K, n_out), of an (n_out, n_in) operator's entries."""
+    # sum repeated (row, col) entries and drop the zeros, in row-major order
+    codes, inverse = np.unique(rows * n_in + cols, return_inverse=True)
+    vals = np.bincount(inverse.ravel(), weights=vals, minlength=len(codes))
+    keep = vals != 0.0
+    codes, vals = codes[keep], vals[keep]
+    rows, cols = np.divmod(codes, n_in)
+    counts = np.bincount(rows, minlength=n_out)
+    term = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.zeros((counts.max(initial=0), n_out), dtype=np.intp)
+    weight = np.zeros(index.shape)
+    index[term, rows] = cols
+    weight[term, rows] = vals
+    return index, weight
+
+
+def shift_terms(kind, p):
+    """The tables of :func:`fmmbem.harmonics.shift_terms` ('local' or
+    'dipole'), derived from the complex shift rules."""
+    size = num_coeffs(p)
+    n_in, n_out = (3 * size, size) if kind == "dipole" else (size, 3 * size)
+    return shift_tables(*shift_entries(kind, p), n_in, n_out)
 
 
 def multipole_shift_entries(p):
     """(rows, cols, values) of the multipole gradient shift: order p + 1 (input
     zero-padded from p) -> three order-(p+1) sets, duplicates unsummed."""
-    return H._shift_entries(MULTIPOLE_SHIFT, p + 1, adjoint=False)
+    return shift_entries("multipole", p + 1)
 
 
 def multipole_shift_terms(p):
     """Index and weight tables of the multipole gradient shift, at most 2 terms."""
     size = num_coeffs(p + 1)
-    return H._shift_tables(*multipole_shift_entries(p), size, 3 * size)
+    return shift_tables(*multipole_shift_entries(p), size, 3 * size)
 
 
 def translation_matrix(kind, d, p):

@@ -237,7 +237,7 @@ def test_shift_tables_match_csr_product(kind, p):
         terms = HR.multipole_shift_terms(p)
     else:
         q = p
-        rows, cols, vals = H._shift_entries(H._SHIFTS[kind], p, adjoint=kind == "dipole")
+        rows, cols, vals = HR.shift_entries(kind, p)
         terms = H.shift_terms(kind, p)
     size = H.num_coeffs(q)
     shape = (size, 3 * size) if kind == "dipole" else (3 * size, size)
@@ -249,6 +249,18 @@ def test_shift_tables_match_csr_product(kind, p):
     ref = (B @ X.T).T
     out = H._apply_shift(X, terms, size).reshape(ref.shape)
     np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-15 * max(np.abs(ref).max(), 1.0))
+
+
+@pytest.mark.parametrize("kind", ["local", "dipole"])
+def test_shift_tables_equal_complex_derivation(kind):
+    """The tables read off the n = 1 translation operators are exactly those
+    of the complex shift rules at every order up to 18."""
+    for p in range(19):
+        index, weight = H.shift_terms(kind, p)
+        ref_index, ref_weight = HR.shift_terms(kind, p)
+        assert index.dtype == ref_index.dtype and weight.dtype == ref_weight.dtype
+        assert np.array_equal(index, ref_index), p
+        assert np.array_equal(weight, ref_weight), p
 
 
 @pytest.mark.parametrize("kind", ["m2m", "l2l", "m2l"])

@@ -35,19 +35,18 @@ def test_rule_polynomial_exactness(rule, degree):
 
 def test_panel_geometry_right_triangle():
     tri = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]])
-    c, n, a = Q.panel_geometry(tri)
+    c, n, a = (x[0] for x in Q.panel_geometry(tri[None]))
     np.testing.assert_allclose(c, [1 / 3, 1 / 3, 0])
     np.testing.assert_allclose(n, [0, 0, 1])
     assert np.isclose(a, 0.5)
 
 
 def test_quadrature_points_integrate_area():
-    pts, wts = Q.quadrature_points(TRI, Q.NEAR_RULE)
-    _, _, area = Q.panel_geometry(TRI)
+    pts, wts = (x[0] for x in Q.quadrature_points(TRI[None], Q.NEAR_RULE))
+    c, _, area = (x[0] for x in Q.panel_geometry(TRI[None]))
     assert np.isclose(wts.sum(), area)
     # linear function integrated exactly
     f = pts @ np.array([1.0, 2.0, 3.0]) + 4.0
-    c, _, _ = Q.panel_geometry(TRI)
     assert np.isclose(wts @ f, area * (c @ [1.0, 2.0, 3.0] + 4.0))
 
 
@@ -58,7 +57,7 @@ def _duffy_reference(kind, tri, n=32):
     x = c + u (A - c) + u v (B - A); the Jacobian factor u cancels the 1/r
     singularity exactly.
     """
-    c, _, area = Q.panel_geometry(tri)
+    c, _, area = (x[0] for x in Q.panel_geometry(tri[None]))
     x, w = np.polynomial.legendre.leggauss(n)
     u = 0.5 * (x + 1.0)
     wu = 0.5 * w
@@ -80,22 +79,22 @@ def _duffy_reference(kind, tri, n=32):
 
 
 def test_singular_laplace_matches_frozen_oracle():
-    val = Q.integrate_singular_laplace(TRI)
+    val = Q.integrate_singular_laplace(TRI[None])[0]
     assert np.isclose(val, TRI_SELF_LAPLACE, rtol=1e-12)
     assert np.isclose(val, _duffy_reference(KernelKind.LAPLACE_SINGLE, TRI),
                       rtol=1e-12)
 
 
 def test_singular_stokeslet_matches_duffy():
-    val = Q.integrate_singular_stokeslet(TRI)
+    val = Q.integrate_singular_stokeslet(TRI[None])[0]
     ref = _duffy_reference(KernelKind.STOKESLET, TRI)
     np.testing.assert_allclose(val, ref, rtol=1e-11, atol=1e-12)
 
 
 def test_singular_stokeslet_rotation_covariance():
     rot = Rotation.from_rotvec([0.3, -0.7, 0.5])
-    base = Q.integrate_singular_stokeslet(TRI)
-    rotated = Q.integrate_singular_stokeslet(rot.apply(TRI))
+    base = Q.integrate_singular_stokeslet(TRI[None])[0]
+    rotated = Q.integrate_singular_stokeslet(rot.apply(TRI)[None])[0]
     R = rot.as_matrix()
     np.testing.assert_allclose(rotated, R @ base @ R.T, rtol=1e-12, atol=1e-14)
 
@@ -105,6 +104,6 @@ def test_singular_integrals_batch_over_panels():
     pv = make_sphere(3).panel_vertices
     for integrate in (Q.integrate_singular_laplace, Q.integrate_singular_stokeslet):
         batched = integrate(pv)
-        single = np.array([integrate(tri) for tri in pv])
+        single = np.array([integrate(pv[i:i + 1])[0] for i in range(len(pv))])
         assert batched.shape == single.shape == (len(pv),) + np.shape(single[0])
         np.testing.assert_allclose(batched, single, rtol=1e-14, atol=1e-14 * np.abs(single).max())
