@@ -16,7 +16,7 @@ op = BemOperator(m, Formulation.STOKES, mu=mu)
 velocity = np.tile([1.0, 0.0, 0.0], (m.n_panels, 1))
 b = op.assemble_rhs(velocity)
 
-res = solve(op, b, eta=1e-5, p_initial=16, p_min=5, relaxed=True)
+res = solve(op, b, eta=1e-5, p_initial=16, p_min=5)
 
 print("iter   residual      p")
 for k, (r, p) in enumerate(zip(res.residuals, res.orders), start=1):

@@ -3,11 +3,8 @@
 import argparse
 import sys
 
-import numpy as np
-
 from . import mesh as meshes
 from . import solver, study
-from .bemop import BemOperator
 
 
 def _add_mesh_parser(sub):
@@ -32,8 +29,8 @@ def _add_solve_parser(sub):
                    required=True)
     p.add_argument("--mesh", required=True)
     p.add_argument("--p", type=int, default=12)
-    p.add_argument("--p-min", type=int, default=1)
-    p.add_argument("--relax", choices=["on", "off"], default="on")
+    p.add_argument("--p-min", type=int, default=1,
+                   help="lowest order of the relaxed solve; equal to --p for a fixed order")
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--max-iters", type=int, default=100)
     p.add_argument("--ncrit", type=int, default=126)
@@ -85,20 +82,14 @@ def _run_mesh(args):
 
 
 def _run_solve(args):
-    m = meshes.read_mesh(args.mesh)
-    form = study._FORMULATIONS[args.problem]
-    op = BemOperator(m, form, theta=args.theta, n_crit=args.ncrit, mu=args.mu)
-    if args.problem == "stokes":
-        data = np.tile([1.0, 0.0, 0.0], (m.n_panels, 1))
-    else:
-        data = np.ones(m.n_panels)
+    op, data, _ = study.setup_problem(meshes.read_mesh(args.mesh), args.problem,
+                                      args.theta, args.ncrit, args.mu)
     b = op.assemble_rhs(data)
     res = solver.solve(op, b, eta=args.tol, p_initial=args.p, p_min=args.p_min,
-                       relaxed=args.relax == "on", max_iter=args.max_iters)
+                       max_iter=args.max_iters)
     rep = study.StudyReport("solve", params=dict(
         problem=args.problem, mesh=args.mesh, p=args.p, p_min=args.p_min,
-        relaxed=args.relax == "on", tol=args.tol, n_crit=args.ncrit,
-        theta=args.theta))
+        tol=args.tol, n_crit=args.ncrit, theta=args.theta))
     rec = dict(N=op.n_panels, iterations=res.n_iterations,
                converged=res.converged,
                final_residual=res.residuals[-1] if res.residuals else 0.0)

@@ -11,7 +11,6 @@ every kernel to such channels and recombines their values and gradients.
 """
 
 import functools
-import math
 
 import numpy as np
 
@@ -21,20 +20,14 @@ from .octree import MAX_DEPTH, build_tree, bounding_cube
 
 # Cell size entering the acceptance criterion, in units of the cube half
 # width.  With 1.0 the measured far-field error tracks ~2^-p at theta = 0.5,
-# which is what the order schedule p = ceil(-log2 eps) assumes.
+# which is what the order rule p = ceil(-log2 eps) of solver.schedule_p
+# assumes.
 CELL_RADIUS_FACTOR = 1.0
 
 
 # Bodies per block of packed harmonics in P2M and L2P: 2048 x (19^2) doubles
 # is 5.6 MiB at p = 18, and larger blocks run no faster.
 POINT_CHUNK = 2048
-
-
-def required_p(eps):
-    """Expansion order needed for accuracy eps at separation ratio 2."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must be in (0, 1]")
-    return max(0, math.ceil(-math.log2(eps)))
 
 
 def dual_traversal(src_tree, tgt_tree, theta):

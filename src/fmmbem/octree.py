@@ -38,10 +38,7 @@ class Octree:
         self.n_levels = int(level.max()) + 1
         self.cells_by_level = [np.flatnonzero(level == l) for l in range(self.n_levels)]
         # leaf index of each (sorted) body
-        self.leaf_of_body = np.empty(len(perm), dtype=np.intp)
-        for c in self.leaves:
-            s, n = body_start[c], body_count[c]
-            self.leaf_of_body[s:s + n] = c
+        self.leaf_of_body = np.repeat(self.leaves, body_count[self.leaves])
 
     @property
     def n_cells(self):
@@ -95,9 +92,10 @@ def build_tree(points, n_crit, root_center=None, root_half=None):
     stack = [(root, np.arange(len(pts)))]
     while stack:
         cell, idx = stack.pop()
-        starts[cell] = -1  # filled below
+        # the DFS places this cell's bodies before those of any cell still
+        # on the stack, so its first descendant leaf starts here
+        starts[cell] = cursor
         if len(idx) <= n_crit or levels[cell] >= MAX_DEPTH:
-            starts[cell] = cursor
             perm[cursor:cursor + len(idx)] = idx
             cursor += len(idx)
             continue
@@ -120,17 +118,9 @@ def build_tree(points, n_crit, root_center=None, root_half=None):
         # push in reverse so octant 0 is processed (and numbered) first
         stack.extend(reversed(kids))
 
-    # internal cells: body range from descendants (DFS order keeps them contiguous)
-    starts_arr = np.asarray(starts)
-    counts_arr = np.asarray(counts)
-    children_arr = np.asarray(children, dtype=np.intp)
-    for cell in range(len(centers) - 1, -1, -1):
-        if starts_arr[cell] < 0:
-            kid_cells = children_arr[cell][children_arr[cell] >= 0]
-            starts_arr[cell] = starts_arr[kid_cells].min()
     return Octree(
         pts, perm,
         np.asarray(centers), np.asarray(halves),
         np.asarray(levels, dtype=np.intp), np.asarray(parents, dtype=np.intp),
-        children_arr, starts_arr, counts_arr,
+        np.asarray(children, dtype=np.intp), np.asarray(starts), np.asarray(counts),
     )

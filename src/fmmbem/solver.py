@@ -2,13 +2,15 @@
 
 The mat-vec accuracy a Krylov method actually needs grows as the residual
 falls, so each iteration may use a cheaper (lower-order) multipole
-approximation than the last.  The per-iteration accuracy budget is
+approximation than the last.  The whole rule is one function,
+:func:`schedule_p`: iteration k spends the accuracy budget
 
     eps_k = min(eta / min(r_{k-1}, 1), 1)
 
 with r_{k-1} the preceding relative residual and eta the solve tolerance,
-and the order follows as p_k = ceil(-log2 eps_k), clamped to
-[p_min, p_initial] and kept non-increasing.
+and takes the order p_k = ceil(-log2 eps_k), clamped to [p_min, p_initial]
+and kept non-increasing.  With p_min = p_initial the clamp leaves no room,
+so that is a fixed-order solve.
 """
 
 import math
@@ -16,42 +18,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fmm import required_p
-
-
-def relax_eps(residual, eta):
-    """Per-iteration mat-vec accuracy budget from the current relative residual."""
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    return min(eta / min(max(residual, eta), 1.0), 1.0)
-
 
 def schedule_p(residual, eta, p_initial, p_min):
     """Expansion order for the next iteration under the relaxation rule."""
-    return int(min(p_initial, max(p_min, required_p(relax_eps(residual, eta)))))
-
-
-@dataclass
-class RelaxationSchedule:
-    """Order policy for the solver; fixed order when relaxed is False."""
-
-    p_initial: int = 12
-    p_min: int = 1
-    eta: float = 1e-5
-    relaxed: bool = True
-
-    def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError(f"eta must be finite and positive, got {self.eta}")
-        if not 0 <= self.p_min <= self.p_initial:
-            raise ValueError(f"need 0 <= p_min <= p_initial, got p_min={self.p_min}, "
-                             f"p_initial={self.p_initial}")
-
-    def order(self, residual, previous_p):
-        if not self.relaxed:
-            return self.p_initial
-        p = schedule_p(residual, self.eta, self.p_initial, self.p_min)
-        return min(p, previous_p)  # never spend more than an earlier iteration
+    eps = min(eta / min(max(residual, eta), 1.0), 1.0)
+    return int(min(p_initial, max(p_min, math.ceil(-math.log2(eps)))))
 
 
 @dataclass
@@ -73,17 +44,23 @@ class SolveResult:
                 fh.write(f"{k},{r:.17g},{p}\n")
 
 
-def gmres(apply_fn, b, schedule=None, tol=1e-5, max_iter=100):
+def gmres(apply_fn, b, tol=1e-5, p_initial=12, p_min=1, max_iter=100):
     """Unrestarted GMRES on y = apply_fn(x, p) with a per-iteration order p.
 
-    apply_fn: callable (x, p) -> A x.  schedule: RelaxationSchedule (defaults
-    to a fixed-order solve at p_initial=12 with eta=tol).  Iterates until the
-    relative residual estimate drops below tol or max_iter is reached.
-    Modified Gram-Schmidt Arnoldi with Givens rotations; no restarting, so
-    max_iter basis vectors are kept at most.
+    apply_fn: callable (x, p) -> A x.  Iterates until the relative residual
+    estimate drops below tol or max_iter is reached; p follows
+    :func:`schedule_p` with eta = tol, from p_initial down to p_min
+    (p_min = p_initial is a fixed-order solve).  Modified Gram-Schmidt
+    Arnoldi with Givens rotations; no restarting, so max_iter basis vectors
+    are kept at most.
     """
-    if schedule is None:
-        schedule = RelaxationSchedule(eta=tol, relaxed=False)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not 0 <= p_min <= p_initial:
+        raise ValueError(f"need 0 <= p_min <= p_initial, got p_min={p_min}, "
+                         f"p_initial={p_initial}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     b = np.asarray(b, dtype=float)
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
@@ -98,11 +75,10 @@ def gmres(apply_fn, b, schedule=None, tol=1e-5, max_iter=100):
     g[0] = norm_b
     result = SolveResult(x=np.zeros(n))
     residual = 1.0
-    prev_p = schedule.p_initial
+    p = p_initial
 
     for k in range(max_iter):
-        p = schedule.order(residual, prev_p)
-        prev_p = p
+        p = min(p, schedule_p(residual, tol, p_initial, p_min))  # never spend more than before
         w = apply_fn(basis[k], p)
         if not np.all(np.isfinite(w)):
             raise FloatingPointError(
@@ -147,7 +123,9 @@ def gmres(apply_fn, b, schedule=None, tol=1e-5, max_iter=100):
 
 
 def solve(operator, b, eta=1e-5, p_initial=12, p_min=1, relaxed=True, max_iter=100):
-    """Convenience wrapper: relaxed (or fixed-order) GMRES on a BEM operator."""
-    schedule = RelaxationSchedule(p_initial=p_initial, p_min=p_min, eta=eta,
-                                  relaxed=relaxed)
-    return gmres(operator.apply, b, schedule=schedule, tol=eta, max_iter=max_iter)
+    """GMRES on a BEM operator with tolerance eta and orders p_initial -> p_min.
+
+    relaxed=False is the fixed-order solve p_min = p_initial.
+    """
+    return gmres(operator.apply, b, tol=eta, p_initial=p_initial,
+                 p_min=p_min if relaxed else p_initial, max_iter=max_iter)

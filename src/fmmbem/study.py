@@ -2,7 +2,7 @@
 
 Each study returns a StudyReport holding per-run records plus derived
 quantities (observed order, extrapolated limit, speedup).  Reports write to
-a key-value text file and a CSV of the records; timings are wall-clock
+a JSON file and a CSV of the records; timings are wall-clock
 around the solve loop only and averaged over repeated identical runs.
 """
 
@@ -50,34 +50,10 @@ class StudyReport:
         self.derived = dict(derived or {})
 
     def write(self, path):
-        """Key-value text file; every value is JSON-encoded on its line."""
+        """One JSON object with the kind, params, records and derived values."""
         with open(path, "w") as fh:
-            fh.write(f"kind = {json.dumps(self.kind)}\n")
-            for k, v in self.params.items():
-                fh.write(f"param.{k} = {json.dumps(v)}\n")
-            for i, rec in enumerate(self.records):
-                fh.write(f"record.{i} = {json.dumps(rec)}\n")
-            for k, v in self.derived.items():
-                fh.write(f"derived.{k} = {json.dumps(v)}\n")
-
-    @classmethod
-    def read(cls, path):
-        rep = cls(kind="")
-        records = {}
-        with open(path) as fh:
-            for line in fh:
-                key, _, raw = line.partition(" = ")
-                val = json.loads(raw)
-                if key == "kind":
-                    rep.kind = val
-                elif key.startswith("param."):
-                    rep.params[key[6:]] = val
-                elif key.startswith("record."):
-                    records[int(key[7:])] = val
-                elif key.startswith("derived."):
-                    rep.derived[key[8:]] = val
-        rep.records = [records[i] for i in sorted(records)]
-        return rep
+            json.dump(dict(kind=self.kind, params=self.params, records=self.records,
+                           derived=self.derived), fh, indent=1)
 
     def write_csv(self, path):
         """One CSV row per record, columns from the union of record keys."""
@@ -99,21 +75,21 @@ _FORMULATIONS = {
 }
 
 
-def _sphere_problem(problem, level, theta, n_crit, mu):
-    """Operator, boundary data and exact per-panel solution on the unit sphere.
+def setup_problem(mesh, problem, theta, n_crit, mu):
+    """Operator, boundary data and exact per-panel solution of one problem.
 
-    laplace1: phi = 1 given, exact charge q = 1.  laplace2: q = 1 given,
-    exact phi = 1.  stokes: ambient velocity (1, 0, 0), exact drag 6 pi mu.
+    laplace1: phi = 1 given, exact charge q = 1 on the unit sphere.
+    laplace2: q = 1 given, exact phi = 1 on the unit sphere.  stokes:
+    ambient velocity (1, 0, 0), exact drag 6 pi mu on the unit sphere, and
+    no per-panel solution (None).
     """
-    m = meshes.make_sphere(level)
-    form = _FORMULATIONS[problem]
-    op = BemOperator(m, form, theta=theta, n_crit=n_crit, mu=mu)
+    op = BemOperator(mesh, _FORMULATIONS[problem], theta=theta, n_crit=n_crit, mu=mu)
     if problem == "stokes":
-        data = np.tile([1.0, 0.0, 0.0], (m.n_panels, 1))
+        data = np.tile([1.0, 0.0, 0.0], (mesh.n_panels, 1))
         exact = None
     else:
-        data = np.ones(m.n_panels)
-        exact = np.ones(m.n_panels)
+        data = np.ones(mesh.n_panels)
+        exact = np.ones(mesh.n_panels)
     return op, data, exact
 
 
@@ -141,7 +117,7 @@ def _middle_triples(values, counts):
 
 
 def run_convergence(problem, levels, p=12, tol=1e-6, theta=0.5, n_crit=126,
-                    mu=1e-3, p_min=1, relaxed=True, max_iter=100):
+                    mu=1e-3, p_min=1, max_iter=100):
     """Solve one problem family over refined meshes and report error orders.
 
     problem: 'laplace1' | 'laplace2' | 'stokes' | 'rbc'.  The rbc study has
@@ -151,21 +127,20 @@ def run_convergence(problem, levels, p=12, tol=1e-6, theta=0.5, n_crit=126,
     if len(levels) < 3:
         raise ValueError("need at least 3 mesh levels")
     params = dict(problem=problem, p=p, tol=tol, theta=theta, n_crit=n_crit,
-                  p_min=p_min, relaxed=relaxed)
+                  p_min=p_min)
     report = StudyReport("convergence", params)
     errors, drags, counts = [], [], []
     for level in levels:
         if problem == "rbc":
-            m = meshes.make_rbc(level)
-            op = BemOperator(m, Formulation.STOKES, theta=theta, n_crit=n_crit, mu=mu)
-            data = np.tile([1.0, 0.0, 0.0], (m.n_panels, 1))
-            exact = None
+            op, data, exact = setup_problem(meshes.make_rbc(level), "stokes",
+                                            theta, n_crit, mu)
         else:
-            op, data, exact = _sphere_problem(problem, level, theta, n_crit, mu)
+            op, data, exact = setup_problem(meshes.make_sphere(level), problem,
+                                            theta, n_crit, mu)
         b = op.assemble_rhs(data)
         t0 = time.perf_counter()
         res = solver.solve(op, b, eta=tol, p_initial=p, p_min=p_min,
-                           relaxed=relaxed, max_iter=max_iter)
+                           max_iter=max_iter)
         t1 = time.perf_counter()
         rec = dict(N=op.n_panels, iterations=res.n_iterations,
                    converged=res.converged, time=t1 - t0, orders=res.orders)
@@ -220,13 +195,13 @@ def run_relaxation_comparison(problem, level, tol=1e-5, p_initial=12, p_min=1,
     best = {True: None, False: None}
     x_best = {}
     for n_crit in ncrit_candidates:
-        op, data, _ = _sphere_problem(problem, level, theta, n_crit, mu)
+        op, data, _ = setup_problem(meshes.make_sphere(level), problem, theta,
+                                    n_crit, mu)
         b = op.assemble_rhs(data)
         for relaxed in (True, False):
             res, t_mean, t_min, t_max = _timed_solve(
                 op, b, repeats, eta=tol, p_initial=p_initial,
-                p_min=p_min if relaxed else p_initial,
-                relaxed=relaxed, max_iter=max_iter)
+                p_min=p_min if relaxed else p_initial, max_iter=max_iter)
             rec = dict(N=op.n_panels, n_crit=n_crit, relaxed=relaxed,
                        iterations=res.n_iterations, converged=res.converged,
                        time=t_mean, time_min=t_min, time_max=t_max)

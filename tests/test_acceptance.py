@@ -178,9 +178,7 @@ def test_criterion_5_relaxed_matches_fixed(laplace_runs, stokes_runs):
     cases = []
 
     op, b, relaxed = laplace_runs[5]
-    fixed = S.gmres(op.apply, b,
-                    S.RelaxationSchedule(p_initial=10, eta=1e-6, relaxed=False),
-                    tol=1e-6)
+    fixed = S.gmres(op.apply, b, tol=1e-6, p_initial=10, p_min=10)
     cases.append(("laplace1 N=8192", relaxed, fixed, 1e-6))
 
     m = M.make_sphere(5)
@@ -192,9 +190,7 @@ def test_criterion_5_relaxed_matches_fixed(laplace_runs, stokes_runs):
     cases.append(("laplace2 N=8192", rel2, fix2, 1e-6))
 
     ops, bs, rels, _ = stokes_runs[5]
-    fixs = S.gmres(ops.apply, bs,
-                   S.RelaxationSchedule(p_initial=16, eta=1e-5, relaxed=False),
-                   tol=1e-5)
+    fixs = S.gmres(ops.apply, bs, tol=1e-5, p_initial=16, p_min=16)
     cases.append(("stokes N=8192", rels, fixs, 1e-5))
 
     details, ok = [], True

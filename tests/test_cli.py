@@ -1,11 +1,12 @@
 """Command-line interface end-to-end runs on tiny problems."""
 
+import json
+
 import numpy as np
 import pytest
 
 from fmmbem import mesh as M
 from fmmbem.cli import main
-from fmmbem.study import StudyReport
 
 
 def test_mesh_sphere_command(tmp_path):
@@ -29,24 +30,24 @@ def test_mesh_rbc_and_scene_commands(tmp_path):
 
 def test_solve_command(tmp_path):
     msh = tmp_path / "s.msh"
-    rep_path = tmp_path / "solve.txt"
+    rep_path = tmp_path / "solve.json"
     main(["mesh", "sphere", "--level", "2", "--output", str(msh)])
     assert main(["solve", "--problem", "laplace2", "--mesh", str(msh),
                  "--tol", "1e-6", "--output", str(rep_path)]) == 0
-    rep = StudyReport.read(rep_path)
-    assert rep.records[0]["converged"]
-    hist = (tmp_path / "solve.txt.history.csv").read_text().splitlines()
+    rep = json.loads(rep_path.read_text())
+    assert rep["records"][0]["converged"]
+    hist = (tmp_path / "solve.json.history.csv").read_text().splitlines()
     assert hist[0] == "iteration,residual,p"
-    assert len(hist) == 1 + rep.records[0]["iterations"]
+    assert len(hist) == 1 + rep["records"][0]["iterations"]
 
 
 def test_study_command(tmp_path):
-    out = tmp_path / "scaling.txt"
+    out = tmp_path / "scaling.json"
     assert main(["study", "scaling", "--sizes", "200", "800", "--repeats", "1",
                  "--output", str(out)]) == 0
-    rep = StudyReport.read(out)
-    assert rep.kind == "scaling"
-    assert (tmp_path / "scaling.txt.csv").exists()
+    rep = json.loads(out.read_text())
+    assert rep["kind"] == "scaling"
+    assert (tmp_path / "scaling.json.csv").exists()
 
 
 def test_unknown_command_rejected():

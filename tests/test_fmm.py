@@ -9,7 +9,7 @@ import operator_reference as OR
 from fmmbem import fmm
 from fmmbem import mesh as M
 from fmmbem import quadrature as Q
-from fmmbem.fmm import FmmPlan, dual_traversal, evaluate, required_p
+from fmmbem.fmm import FmmPlan, dual_traversal, evaluate
 from fmmbem.kernels import FOUR_PI, KernelKind, direct_sum, laplace_sum
 from fmmbem.octree import bounding_cube, build_tree
 
@@ -25,14 +25,6 @@ def _random_sources(n, seed=0):
     pos = rng.uniform(0.0, 1.0, size=(n, 3))
     q = rng.uniform(-1.0, 1.0, size=n)
     return pos, q
-
-
-def test_required_p():
-    assert required_p(1.0) == 0
-    assert required_p(1e-3) == 10
-    assert required_p(0.5 ** 12) == 12
-    with pytest.raises(ValueError):
-        required_p(0.0)
 
 
 def test_traversal_accounts_every_pair():

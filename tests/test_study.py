@@ -1,5 +1,7 @@
 """Richardson extrapolation, report round-trips and small study runs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -51,13 +53,14 @@ def test_report_roundtrip(tmp_path):
                  dict(N=512, error=0.017, iterations=7)],
         derived=dict(order=0.66),
     )
-    path = tmp_path / "report.txt"
+    path = tmp_path / "report.json"
     rep.write(path)
-    back = study.StudyReport.read(path)
-    assert back.kind == rep.kind
-    assert back.params == rep.params
-    assert back.records == rep.records
-    assert back.derived == rep.derived
+    with open(path) as fh:
+        back = json.load(fh)
+    assert back["kind"] == rep.kind
+    assert back["params"] == rep.params
+    assert back["records"] == rep.records
+    assert back["derived"] == rep.derived
 
 
 def test_report_csv(tmp_path):
