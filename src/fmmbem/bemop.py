@@ -11,17 +11,20 @@ The operator action is evaluated as
     + a sparse correction matrix that replaces the coarse-rule contribution
       of geometrically close panels by fine-rule or singular integrals.
 
-The system and the right-hand-side kernels each have their correction
-matrix; both come from one pass over the near panel pairs and share one
-:class:`BlockCsr` pattern.
+Each formulation is one row of an equation table: a SYSTEM side, which
+``apply`` applies, and an RHS side, which ``assemble_rhs`` applies to the
+boundary data.  A side is a kernel, an identity coefficient c and a divisor
+d, and evaluates c * data + layer(data) / d.  The two kernels each have their
+correction matrix; both come from one pass over the near panel pairs and
+share one :class:`BlockCsr` pattern.
 
-Only the expansion part depends on p, so lowering the order mid-solve leaves
-all near-field arithmetic untouched.  The right-hand side goes through the
-same pipeline at a fixed high order (p = 18); chunked direct sums over all
-Gauss points (``dense_apply``, ``assemble_rhs(dense=True)``) are the exact
-reference for both.  Either way a layer potential is one
-:func:`fmmbem.kernels.kernel_sum`: the FMM and the dense path differ only in
-the bare 1/r channel evaluator handed to it.
+Every layer potential is one :func:`fmmbem.kernels.kernel_sum` and takes its
+bare 1/r channel evaluator as one argument: the FMM at some order p, or
+chunked direct sums over all Gauss points.  Only the expansion part depends
+on p, so lowering the order mid-solve leaves all near-field arithmetic
+untouched.  The right-hand side goes through the FMM at the fixed order
+RHS_ORDER; the direct sums (``dense_apply``, ``assemble_rhs(dense=True)``)
+are the exact reference for both.
 
 The mesh must be closed and outward oriented; the operator checks both
 before it builds anything.
@@ -44,8 +47,14 @@ EIGHT_PI = 8.0 * np.pi
 NEAR_FACTOR = 2.0
 # near pairs per block of the correction matrices' batched rule sums
 CORRECTION_CHUNK = 2048
-# the two correction matrices of an operator: apply's and assemble_rhs's
+# the two sides of an equation, and the two correction matrices of an
+# operator: apply's and assemble_rhs's
 SYSTEM, RHS = 0, 1
+# expansion order of the FMM right-hand side: its error against the direct
+# sums is 40-50x below the solve tolerance on the benchmark workloads (2.6e-8
+# at tol 1e-6 on an 8192-panel Laplace sphere, 2.1e-7 at tol 1e-5 on six
+# Stokes cells)
+RHS_ORDER = 18
 # candidate pairs per block of the near-pair search: its temporaries stay in
 # cache, and larger blocks run slower
 NEAR_SEARCH_CHUNK = 32768
@@ -58,12 +67,8 @@ DENSE_CHUNK = 128
 
 
 class Formulation(enum.Enum):
-    # single-layer first-kind equation: S q = (1/2) phi - D phi
     LAPLACE_FIRST = "laplace_first"
-    # second-kind equation: ((1/2) I - D) phi = S q
     LAPLACE_SECOND = "laplace_second"
-    # resistance problem: 1/(8 pi mu) G t = (1/2) u - 1/(8 pi) T u
-    # (sign fixed so a sphere held in ambient flow u carries positive drag)
     STOKES = "stokes"
 
 
@@ -102,13 +107,20 @@ class BemOperator:
         self.src_normal = np.repeat(self.normals, k, axis=0)
 
         self.plan = FmmPlan(self.src_pos, self.centroids, n_crit=n_crit, theta=theta)
-        stokes = self.formulation is Formulation.STOKES
-        sys_kind = KernelKind.STOKESLET if stokes else KernelKind.LAPLACE_SINGLE
-        rhs_kind = KernelKind.STRESSLET if stokes else KernelKind.LAPLACE_DOUBLE
-        if self.formulation is Formulation.LAPLACE_SECOND:
-            sys_kind, rhs_kind = rhs_kind, sys_kind
-        self._sys_kind = sys_kind
-        self._rhs_kind = rhs_kind
+        # the (SYSTEM, RHS) sides, each (kernel, c, d); dividing by -1 or
+        # -8 pi is an exact negation
+        single = (KernelKind.LAPLACE_SINGLE, 0.0, 1.0)
+        double = (KernelKind.LAPLACE_DOUBLE, 0.5, -1.0)
+        self._sides = {
+            # single-layer first-kind equation: S q = (1/2) phi - D phi
+            Formulation.LAPLACE_FIRST: (single, double),
+            # second-kind equation: ((1/2) I - D) phi = S q
+            Formulation.LAPLACE_SECOND: (double, single),
+            # resistance problem: 1/(8 pi mu) G t = (1/2) u - 1/(8 pi) T u (sign
+            # fixed so a sphere held in ambient flow u carries positive drag)
+            Formulation.STOKES: ((KernelKind.STOKESLET, 0.0, EIGHT_PI * mu),
+                                 (KernelKind.STRESSLET, 0.5, -EIGHT_PI)),
+        }[self.formulation]
         self._corrections = self._correction_matrix(self._find_near_pairs())
 
     @property
@@ -117,7 +129,7 @@ class BemOperator:
 
     @property
     def shape(self):
-        n = 3 * self.n_panels if self.formulation is Formulation.STOKES else self.n_panels
+        n = self.n_panels if self._sides[SYSTEM][0].scalar else 3 * self.n_panels
         return (n, n)
 
     # -- assembly ---------------------------------------------------------------
@@ -138,7 +150,7 @@ class BemOperator:
         """
         pv = self.mesh.panel_vertices
         k = Q.FAR_RULE.n_points
-        kinds = (self._sys_kind, self._rhs_kind)
+        kinds = [kind for kind, _, _ in self._sides]
         fine_pts, fine_wts = Q.quadrature_points(pv, Q.NEAR_RULE)
         # each panel's coarse points, then its fine ones, coordinate-major as
         # rule_sums takes them
@@ -171,20 +183,18 @@ class BemOperator:
 
     # -- kernel-layer applications ---------------------------------------------
 
-    def _layer_apply(self, kind, x, p, correction, dense):
+    def _layer_apply(self, kind, x, channel_sum, correction):
         """Quadrature-discretized layer potential at the centroids.
 
-        correction is SYSTEM or RHS, the correction matrix of the kernel.
-        dense=True replaces the tree evaluation by chunked direct sums
-        (identical arithmetic for the near corrections).
+        channel_sum is the bare 1/r evaluator of
+        :func:`fmmbem.kernels.kernel_sum`; correction is SYSTEM or RHS, the
+        correction matrix of the kernel.
         """
         if kind.scalar:
             density = self.src_weight * np.repeat(x, Q.FAR_RULE.n_points)
         else:
             density = self.src_weight[:, None] * np.repeat(x.reshape(self.n_panels, 3),
                                                            Q.FAR_RULE.n_points, axis=0)
-        channel_sum = (self._dense_potential if dense
-                       else functools.partial(self.plan.channel_sum, p=p))
         u = kernels.kernel_sum(kind, channel_sum, self.src_pos, density, self.centroids,
                                self.src_normal)
         return u.reshape(-1) + self._corrections.matvec(x, correction)
@@ -200,52 +210,41 @@ class BemOperator:
         grad = np.zeros((C, nt, 3)) if want_gradient else None
         for lo in range(0, nt, DENSE_CHUNK):
             sl = slice(lo, lo + DENSE_CHUNK)
-            pot[:, sl], g = kernels.laplace_sum(self.centroids[sl], self.src_pos, charges,
-                                                dipoles, want_gradient)
+            geo = kernels.pair_geometry(self.centroids[sl], self.src_pos)
+            pot[:, sl], g = kernels.laplace_sum(geo, self.src_pos, charges, dipoles,
+                                                want_gradient)
             if want_gradient:
                 grad[:, sl] = g
         return pot, grad
 
     # -- public operator interface ---------------------------------------------
 
-    def apply(self, x, p=12):
+    def _side(self, side, data, channel_sum):
+        """c * data + layer(data) / d for one side of the equation table."""
+        kind, c, d = self._sides[side]
+        data = np.asarray(data, dtype=float).reshape(-1)
+        return c * data + self._layer_apply(kind, data, channel_sum, side) / d
+
+    def apply(self, x, p):
         """System mat-vec A x with expansions truncated at order p."""
-        return self._apply(np.asarray(x, dtype=float), p, dense=False)
+        return self._side(SYSTEM, x, functools.partial(self.plan.channel_sum, p=p))
 
     def dense_apply(self, x):
         """Reference mat-vec with direct sums in place of expansions."""
-        return self._apply(np.asarray(x, dtype=float), p=0, dense=True)
+        return self._side(SYSTEM, x, self._dense_potential)
 
-    def _apply(self, x, p, dense):
-        f = self.formulation
-        if f is Formulation.LAPLACE_FIRST:
-            return self._layer_apply(KernelKind.LAPLACE_SINGLE, x, p, SYSTEM, dense)
-        if f is Formulation.LAPLACE_SECOND:
-            d = self._layer_apply(KernelKind.LAPLACE_DOUBLE, x, p, SYSTEM, dense)
-            return 0.5 * x - d
-        g = self._layer_apply(KernelKind.STOKESLET, x, p, SYSTEM, dense)
-        return g / (EIGHT_PI * self.mu)
-
-    def assemble_rhs(self, boundary_data, p=18, dense=False):
+    def assemble_rhs(self, boundary_data, dense=False):
         """Right-hand side from the known boundary data.
 
         Laplace first kind: data is the surface potential phi per panel.
         Laplace second kind: data is the normal derivative q per panel.
         Stokes: data is the (P, 3) surface velocity.
-        The layer potential goes through the FMM at order p; dense=True
-        replaces it by direct sums, the exact reference.
+        The layer potential goes through the FMM at order RHS_ORDER;
+        dense=True replaces it by direct sums, the exact reference.
         """
-        f = self.formulation
-        if f is Formulation.LAPLACE_FIRST:
-            phi = np.asarray(boundary_data, dtype=float)
-            d = self._layer_apply(KernelKind.LAPLACE_DOUBLE, phi, p, RHS, dense)
-            return 0.5 * phi - d
-        if f is Formulation.LAPLACE_SECOND:
-            q = np.asarray(boundary_data, dtype=float)
-            return self._layer_apply(KernelKind.LAPLACE_SINGLE, q, p, RHS, dense)
-        u = np.asarray(boundary_data, dtype=float).reshape(-1)
-        t_u = self._layer_apply(KernelKind.STRESSLET, u, p, RHS, dense)
-        return 0.5 * u - t_u / EIGHT_PI
+        channel_sum = (self._dense_potential if dense
+                       else functools.partial(self.plan.channel_sum, p=RHS_ORDER))
+        return self._side(RHS, boundary_data, channel_sum)
 
     def drag_force(self, traction):
         """Net surface force sum_j area_j t_j for a traction field (P, 3)."""

@@ -24,7 +24,8 @@ def _add_mesh_parser(sub):
 
 
 def _add_solve_parser(sub):
-    p = sub.add_parser("solve", help="solve a boundary-value problem")
+    p = sub.add_parser("solve", help="solve a boundary-value problem; exit status 1 "
+                                     "if it did not converge")
     p.add_argument("--problem", choices=["laplace1", "laplace2", "stokes"],
                    required=True)
     p.add_argument("--mesh", required=True)
@@ -37,7 +38,7 @@ def _add_solve_parser(sub):
     p.add_argument("--theta", type=float, default=0.5)
     p.add_argument("--mu", type=float, default=1e-3)
     p.add_argument("--output", required=True,
-                   help="solve report path; history CSV goes next to it")
+                   help="solve report path, with each iteration's residual and p")
 
 
 def _add_study_parser(sub):
@@ -83,23 +84,22 @@ def _run_mesh(args):
 
 def _run_solve(args):
     op, data, _ = study.setup_problem(meshes.read_mesh(args.mesh), args.problem,
-                                      args.theta, args.ncrit, args.mu)
+                                      theta=args.theta, n_crit=args.ncrit, mu=args.mu)
     b = op.assemble_rhs(data)
     res = solver.solve(op, b, eta=args.tol, p_initial=args.p, p_min=args.p_min,
                        max_iter=args.max_iters)
     rep = study.StudyReport("solve", params=dict(
         problem=args.problem, mesh=args.mesh, p=args.p, p_min=args.p_min,
         tol=args.tol, n_crit=args.ncrit, theta=args.theta))
-    rec = dict(N=op.n_panels, iterations=res.n_iterations,
-               converged=res.converged,
-               final_residual=res.residuals[-1] if res.residuals else 0.0)
+    rec = dict(N=op.n_panels, iterations=res.n_iterations, converged=res.converged,
+               residuals=res.residuals, orders=res.orders)
     if args.problem == "stokes":
         rec["drag"] = list(map(float, op.drag_force(res.x)))
     rep.records.append(rec)
     rep.write(args.output)
-    res.save_history(args.output + ".history.csv")
     status = "converged" if res.converged else "NOT converged"
     print(f"{status} in {res.n_iterations} iterations; report in {args.output}")
+    return 0 if res.converged else 1
 
 
 def _run_study(args):
@@ -131,10 +131,10 @@ def main(argv=None):
     _add_solve_parser(sub)
     _add_study_parser(sub)
     args = parser.parse_args(argv)
+    if args.command == "solve":
+        return _run_solve(args)
     if args.command == "mesh":
         _run_mesh(args)
-    elif args.command == "solve":
-        _run_solve(args)
     else:
         _run_study(args)
     return 0

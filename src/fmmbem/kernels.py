@@ -6,8 +6,9 @@ boundary-integral formulation are applied by the operator layer).
 
 :func:`direct_sum` contracts the pointwise kernels and is the independent
 reference.  :func:`kernel_sum` is the only place where a kernel is split
-into Laplace-type channels of the bare 1/r sum, which :func:`laplace_sum`,
-the FMM or the dense operator path evaluate, and recombined.
+into Laplace-type channels of the bare 1/r sum, which :func:`laplace_sum`
+over a :func:`pair_geometry`, the FMM or the dense operator path evaluate,
+and recombined.
 :func:`rule_sums` gives the quadrature sums of several kernels over one
 rule per target, the sums behind the operator's near-pair corrections.
 """
@@ -146,9 +147,8 @@ def _augmented(z, scale, ones_first):
     return out
 
 
-def _find_geometry(targets, sources):
-    """PairGeometry of targets against sources, the centred sources and the
-    unpatched d^2 the close pairs were found in."""
+def pair_geometry(targets, sources):
+    """The :class:`PairGeometry` of targets (Nt, 3) against sources (Ns, 3)."""
     origin = np.mean(targets, axis=0)
     xa = _augmented(np.asarray(targets, dtype=float) - origin, 1.0, ones_first=True)
     y = np.asarray(sources, dtype=float) - origin
@@ -162,30 +162,20 @@ def _find_geometry(targets, sources):
     diff = xa[ti, :3] - y[si]
     dc = np.einsum("ki,ki->k", diff, diff)
     dc[dc == 0.0] = np.inf
-    return PairGeometry(origin, xa, close, dc), y, d2
+    return PairGeometry(origin, xa, close, dc)
 
 
-def pair_geometry(targets, sources):
-    """The :class:`PairGeometry` of targets (Nt, 3) against sources (Ns, 3)."""
-    return _find_geometry(targets, sources)[0]
-
-
-def laplace_sum(targets, sources, charges=None, dipoles=None, want_gradient=False):
+def laplace_sum(geo, sources, charges=None, dipoles=None, want_gradient=False):
     """Bare sums of q / r + d . (x - y) / r^3, r = |x - y|, over all pairs.
 
-    targets (Nt, 3), or their :func:`pair_geometry` against these sources,
-    which skips the search for close pairs; sources (Ns, 3); charges (C, Ns)
-    and dipoles (C, Ns, 3), either may be None, are C channels sharing one
-    geometry.  Returns (C, Nt) potentials and (C, Nt, 3) gradients at the
-    targets, the latter None unless want_gradient.  Coincident pairs
-    contribute exactly zero.
+    geo is the :func:`pair_geometry` of the targets against these sources
+    (Ns, 3); charges (C, Ns) and dipoles (C, Ns, 3), either may be None, are
+    C channels sharing one geometry.  Returns (C, Nt) potentials and
+    (C, Nt, 3) gradients at the targets, the latter None unless
+    want_gradient.  Coincident pairs contribute exactly zero.
     """
-    if isinstance(targets, PairGeometry):
-        geo = targets
-        y = np.asarray(sources, dtype=float) - geo.origin
-        d2 = geo.xa @ _augmented(y, -2.0, ones_first=False).T
-    else:
-        geo, y, d2 = _find_geometry(targets, sources)
+    y = np.asarray(sources, dtype=float) - geo.origin
+    d2 = geo.xa @ _augmented(y, -2.0, ones_first=False).T
     np.put(d2, geo.close, geo.close_d2)
     x = geo.xa[:, :3]
     inv2 = np.divide(1.0, d2, out=d2)

@@ -36,13 +36,6 @@ class SolveResult:
     def n_iterations(self):
         return len(self.orders)
 
-    def save_history(self, path):
-        """Write 'iteration,residual,p' lines for the convergence history."""
-        with open(path, "w") as fh:
-            fh.write("iteration,residual,p\n")
-            for k, (r, p) in enumerate(zip(self.residuals, self.orders), start=1):
-                fh.write(f"{k},{r:.17g},{p}\n")
-
 
 def gmres(apply_fn, b, tol=1e-5, p_initial=12, p_min=1, max_iter=100):
     """Unrestarted GMRES on y = apply_fn(x, p) with a per-iteration order p.

@@ -2,10 +2,13 @@
 
 Each study returns a StudyReport holding per-run records plus derived
 quantities (observed order, extrapolated limit, speedup).  Reports write to
-a JSON file and a CSV of the records; timings are wall-clock
-around the solve loop only and averaged over repeated identical runs.
+a strict JSON file (an undefined value is null) and a CSV of the records.
+Timings are wall-clock around the solve loop or the tree evaluation only;
+the relaxation and scaling studies average them over repeated identical
+runs, the convergence study times each solve once.
 """
 
+import inspect
 import json
 import time
 
@@ -53,7 +56,7 @@ class StudyReport:
         """One JSON object with the kind, params, records and derived values."""
         with open(path, "w") as fh:
             json.dump(dict(kind=self.kind, params=self.params, records=self.records,
-                           derived=self.derived), fh, indent=1)
+                           derived=self.derived), fh, indent=1, allow_nan=False)
 
     def write_csv(self, path):
         """One CSV row per record, columns from the union of record keys."""
@@ -75,15 +78,17 @@ _FORMULATIONS = {
 }
 
 
-def setup_problem(mesh, problem, theta, n_crit, mu):
+def setup_problem(mesh, problem, **options):
     """Operator, boundary data and exact per-panel solution of one problem.
+
+    options go to :class:`BemOperator` (theta, n_crit, mu).
 
     laplace1: phi = 1 given, exact charge q = 1 on the unit sphere.
     laplace2: q = 1 given, exact phi = 1 on the unit sphere.  stokes:
     ambient velocity (1, 0, 0), exact drag 6 pi mu on the unit sphere, and
     no per-panel solution (None).
     """
-    op = BemOperator(mesh, _FORMULATIONS[problem], theta=theta, n_crit=n_crit, mu=mu)
+    op = BemOperator(mesh, _FORMULATIONS[problem], **options)
     if problem == "stokes":
         data = np.tile([1.0, 0.0, 0.0], (mesh.n_panels, 1))
         exact = None
@@ -116,31 +121,36 @@ def _middle_triples(values, counts):
     return orders
 
 
-def run_convergence(problem, levels, p=12, tol=1e-6, theta=0.5, n_crit=126,
-                    mu=1e-3, p_min=1, max_iter=100):
+def _defaults(fn, *names):
+    """{name: default} of the named parameters of fn, for a report's params."""
+    parameters = inspect.signature(fn).parameters
+    return {name: parameters[name].default for name in names}
+
+
+def run_convergence(problem, levels, p=12, tol=1e-6, theta=0.5):
     """Solve one problem family over refined meshes and report error orders.
 
     problem: 'laplace1' | 'laplace2' | 'stokes' | 'rbc'.  The rbc study has
     no analytic solution; its drag values are Richardson-extrapolated instead.
+    The operator and the relaxed solve run with their own defaults otherwise.
+    The order is None when no interior triple of errors is monotone.
     """
     levels = list(levels)
     if len(levels) < 3:
         raise ValueError("need at least 3 mesh levels")
-    params = dict(problem=problem, p=p, tol=tol, theta=theta, n_crit=n_crit,
-                  p_min=p_min)
+    params = dict(problem=problem, p=p, tol=tol, theta=theta,
+                  **_defaults(BemOperator, "n_crit", "mu"),
+                  **_defaults(solver.solve, "p_min", "max_iter"))
     report = StudyReport("convergence", params)
     errors, drags, counts = [], [], []
     for level in levels:
         if problem == "rbc":
-            op, data, exact = setup_problem(meshes.make_rbc(level), "stokes",
-                                            theta, n_crit, mu)
+            op, data, exact = setup_problem(meshes.make_rbc(level), "stokes", theta=theta)
         else:
-            op, data, exact = setup_problem(meshes.make_sphere(level), problem,
-                                            theta, n_crit, mu)
+            op, data, exact = setup_problem(meshes.make_sphere(level), problem, theta=theta)
         b = op.assemble_rhs(data)
         t0 = time.perf_counter()
-        res = solver.solve(op, b, eta=tol, p_initial=p, p_min=p_min,
-                           max_iter=max_iter)
+        res = solver.solve(op, b, eta=tol, p_initial=p)
         t1 = time.perf_counter()
         rec = dict(N=op.n_panels, iterations=res.n_iterations,
                    converged=res.converged, time=t1 - t0, orders=res.orders)
@@ -164,7 +174,7 @@ def run_convergence(problem, levels, p=12, tol=1e-6, theta=0.5, n_crit=126,
     else:
         orders = _middle_triples(errors, counts)
         report.derived["orders"] = orders
-        report.derived["order"] = float(np.mean(orders)) if orders else float("nan")
+        report.derived["order"] = float(np.mean(orders)) if orders else None
     return report
 
 
@@ -180,28 +190,29 @@ def _timed_solve(op, b, repeats, **kw):
 
 
 def run_relaxation_comparison(problem, level, tol=1e-5, p_initial=12, p_min=1,
-                              theta=0.5, ncrit_candidates=(126,), mu=1e-3,
-                              repeats=3, max_iter=100):
+                              theta=0.5, ncrit_candidates=(126,), repeats=3):
     """Paired relaxed / fixed-order solves with per-variant best n_crit.
 
     The optimal near/far balance differs between the two variants because
     relaxation cheapens only the far field, so each candidate n_crit is tried
     for both and the fastest kept.  speedup = best fixed time / best relaxed.
+    mu and max_iter are the operator's and the solver's defaults.
     """
     params = dict(problem=problem, level=level, tol=tol, p_initial=p_initial,
                   p_min=p_min, theta=theta, repeats=repeats,
-                  ncrit_candidates=list(ncrit_candidates))
+                  ncrit_candidates=list(ncrit_candidates),
+                  **_defaults(BemOperator, "mu"), **_defaults(solver.solve, "max_iter"))
     report = StudyReport("relaxation", params)
     best = {True: None, False: None}
     x_best = {}
     for n_crit in ncrit_candidates:
-        op, data, _ = setup_problem(meshes.make_sphere(level), problem, theta,
-                                    n_crit, mu)
+        op, data, _ = setup_problem(meshes.make_sphere(level), problem, theta=theta,
+                                    n_crit=n_crit)
         b = op.assemble_rhs(data)
         for relaxed in (True, False):
             res, t_mean, t_min, t_max = _timed_solve(
                 op, b, repeats, eta=tol, p_initial=p_initial,
-                p_min=p_min if relaxed else p_initial, max_iter=max_iter)
+                p_min=p_min if relaxed else p_initial)
             rec = dict(N=op.n_panels, n_crit=n_crit, relaxed=relaxed,
                        iterations=res.n_iterations, converged=res.converged,
                        time=t_mean, time_min=t_min, time_max=t_max)

@@ -213,7 +213,7 @@ def test_corrections_match_per_kind_reference(sphere3, monkeypatch, formulation)
     of the per-kind build, to 1e-13 of the largest entry."""
     op, pairs, blocks = _recorded_correction(monkeypatch, sphere3, formulation)
     np.testing.assert_array_equal(pairs, op._find_near_pairs())
-    for kind, values in zip((op._sys_kind, op._rhs_kind), blocks):
+    for (kind, _, _), values in zip(op._sides, blocks):
         ref = OR.correction_blocks(op, kind, pairs)
         assert np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
 

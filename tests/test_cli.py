@@ -34,11 +34,21 @@ def test_solve_command(tmp_path):
     main(["mesh", "sphere", "--level", "2", "--output", str(msh)])
     assert main(["solve", "--problem", "laplace2", "--mesh", str(msh),
                  "--tol", "1e-6", "--output", str(rep_path)]) == 0
-    rep = json.loads(rep_path.read_text())
-    assert rep["records"][0]["converged"]
-    hist = (tmp_path / "solve.json.history.csv").read_text().splitlines()
-    assert hist[0] == "iteration,residual,p"
-    assert len(hist) == 1 + rep["records"][0]["iterations"]
+    rec = json.loads(rep_path.read_text())["records"][0]
+    assert rec["converged"]
+    assert len(rec["residuals"]) == len(rec["orders"]) == rec["iterations"]
+    assert all(a >= b for a, b in zip(rec["orders"], rec["orders"][1:]))
+
+
+def test_solve_command_exits_1_when_not_converged(tmp_path):
+    msh = tmp_path / "s.msh"
+    rep_path = tmp_path / "solve.json"
+    main(["mesh", "sphere", "--level", "2", "--output", str(msh)])
+    assert main(["solve", "--problem", "laplace2", "--mesh", str(msh), "--tol", "1e-6",
+                 "--max-iters", "1", "--output", str(rep_path)]) == 1
+    rec = json.loads(rep_path.read_text())["records"][0]
+    assert rec["converged"] is False
+    assert rec["iterations"] == 1
 
 
 def test_study_command(tmp_path):

@@ -10,7 +10,7 @@ from fmmbem import fmm
 from fmmbem import mesh as M
 from fmmbem import quadrature as Q
 from fmmbem.fmm import FmmPlan, dual_traversal, evaluate
-from fmmbem.kernels import FOUR_PI, KernelKind, direct_sum, laplace_sum
+from fmmbem.kernels import FOUR_PI, KernelKind, direct_sum, laplace_sum, pair_geometry
 from fmmbem.octree import bounding_cube, build_tree
 
 RNG = np.random.default_rng(21)
@@ -243,12 +243,13 @@ def test_error_bound_requires_separation():
 
 
 def _near_field_by_leaf(plan, q, dip):
-    """P2P through laplace_sum with its in-call close-pair search, leaf by leaf."""
+    """P2P through laplace_sum with a close-pair search per call, leaf by leaf."""
     pot = np.zeros((len(q), len(plan.tgt_tree.points)))
     grad = np.zeros(pot.shape + (3,))
     for tidx, sidx in plan.p2p_items():
-        v, g = laplace_sum(plan.tgt_tree.points[tidx], plan.src_tree.points[sidx],
-                           q[:, sidx], dip[:, sidx], want_gradient=True)
+        t, s = plan.tgt_tree.points[tidx], plan.src_tree.points[sidx]
+        v, g = laplace_sum(pair_geometry(t, s), s, q[:, sidx], dip[:, sidx],
+                           want_gradient=True)
         pot[:, tidx] += v
         grad[:, tidx] += g
     return pot, grad

@@ -104,19 +104,20 @@ def test_laplace_sum_matches_direct_sum(kind):
     w = RNG.uniform(-1, 1, size=ns if scalar else (ns, 3))
     ref = K.direct_sum(kind, src, w, tgt, normals=normals)
     # the program's channel split, over laplace_sum of all pairs
-    val = K.kernel_sum(kind, functools.partial(K.laplace_sum, tgt, src), src, w, tgt, normals)
+    geo = K.pair_geometry(tgt, src)
+    val = K.kernel_sum(kind, functools.partial(K.laplace_sum, geo, src), src, w, tgt, normals)
     np.testing.assert_allclose(val, ref, rtol=1e-12, atol=1e-14)
 
 
 def test_laplace_sum_coincident_pair_is_zero():
     x = np.array([[0.3, -1.2, 2.5]])
-    pot, grad = K.laplace_sum(x, x, charges=np.array([[2.0]]),
+    pot, grad = K.laplace_sum(K.pair_geometry(x, x), x, charges=np.array([[2.0]]),
                               dipoles=np.array([[[0.5, -1.0, 0.25]]]), want_gradient=True)
     assert np.all(pot == 0.0) and np.all(grad == 0.0)
     # among other sources, the coincident one drops out of the sum
     src = np.vstack([RNG.uniform(-1, 1, size=(20, 3)), x])
     q = RNG.uniform(-1, 1, size=21)
-    val = K.laplace_sum(x, src, charges=q[None])[0][0]
+    val = K.laplace_sum(K.pair_geometry(x, src), src, charges=q[None])[0][0]
     ref = K.direct_sum(K.KernelKind.LAPLACE_SINGLE, src[:20], q[:20], x) * K.FOUR_PI
     np.testing.assert_allclose(val, ref, rtol=1e-12)
 
@@ -127,8 +128,9 @@ def test_laplace_sum_translation_invariant():
     q = RNG.uniform(-1, 1, size=(2, 200))
     dip = RNG.uniform(-1, 1, size=(2, 200, 3))
     shift = np.array([1e3, -1e3, 1e3])
-    pot, grad = K.laplace_sum(tgt, src, q, dip, want_gradient=True)
-    pot_s, grad_s = K.laplace_sum(tgt + shift, src + shift, q, dip, want_gradient=True)
+    pot, grad = K.laplace_sum(K.pair_geometry(tgt, src), src, q, dip, want_gradient=True)
+    pot_s, grad_s = K.laplace_sum(K.pair_geometry(tgt + shift, src + shift), src + shift, q,
+                                  dip, want_gradient=True)
     # shifted coordinates round at 1e3 * eps, so compare on the output scale
     assert np.abs(pot_s - pot).max() <= 1e-10 * np.abs(pot).max()
     assert np.abs(grad_s - grad).max() <= 1e-10 * np.abs(grad).max()

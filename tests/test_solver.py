@@ -170,17 +170,6 @@ def test_relaxed_gmres_matches_fixed_on_dense():
     np.testing.assert_allclose(res.x, np.linalg.solve(A, b), rtol=1e-7)
 
 
-def test_save_history(tmp_path):
-    rng = np.random.default_rng(4)
-    A = np.eye(10) + 0.1 * rng.normal(size=(10, 10))
-    res = solver.gmres(_dense_apply(A), rng.normal(size=10), tol=1e-10, max_iter=10)
-    path = tmp_path / "hist.csv"
-    res.save_history(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,residual,p"
-    assert len(lines) == 1 + res.n_iterations
-
-
 @pytest.mark.parametrize("eta", [0.0, -1e-6, np.nan, np.inf])
 def test_schedule_rejects_bad_eta(eta):
     """A fixed-order solve fails before its first mat-vec, not after max_iter."""

@@ -63,6 +63,28 @@ def test_report_roundtrip(tmp_path):
     assert back["derived"] == rep.derived
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_undefined_order_is_strict_json_null(tmp_path, monkeypatch):
+    """With no monotone interior triple the order is None, written as null."""
+    def not_monotone(*args, **kwargs):
+        raise ValueError("triple is not monotone; order undefined")
+
+    monkeypatch.setattr(study, "observed_order", not_monotone)
+    rep = study.run_convergence("laplace2", [1, 2, 3], p=8)
+    assert rep.derived["orders"] == [] and rep.derived["order"] is None
+    path = tmp_path / "report.json"
+    rep.write(path)
+    with open(path) as fh:
+        back = json.load(fh, parse_constant=_reject_constant)
+    assert back["derived"]["order"] is None
+    rep.derived["order"] = float("nan")
+    with pytest.raises(ValueError):
+        rep.write(path)
+
+
 def test_report_csv(tmp_path):
     rep = study.StudyReport("scaling", records=[dict(N=10, time=0.1),
                                                 dict(N=20, time=0.2, extra=1)])
@@ -87,6 +109,18 @@ def test_run_convergence_small():
     assert errs[0] > errs[1] > errs[2]
     assert all(r["converged"] for r in rep.records)
     assert np.isfinite(rep.derived["order"])
+
+
+def test_run_convergence_rbc_extrapolates_drag():
+    """The Richardson branch: monotone drags extrapolate to a limit beyond
+    the finest one, at a positive observed order."""
+    rep = study.run_convergence("rbc", [1, 2, 3])
+    drags = [r["drag"] for r in rep.records]
+    assert len(drags) == 3
+    steps = np.diff(drags)
+    assert np.all(steps > 0.0) or np.all(steps < 0.0)
+    assert (rep.derived["extrapolated_drag"] - drags[-1]) * steps[-1] > 0.0
+    assert np.isfinite(rep.derived["order"]) and rep.derived["order"] > 0.0
 
 
 def test_run_convergence_needs_three_levels():
