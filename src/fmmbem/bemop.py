@@ -15,8 +15,9 @@ Each formulation is one row of an equation table: a SYSTEM side, which
 ``apply`` applies, and an RHS side, which ``assemble_rhs`` applies to the
 boundary data.  A side is a kernel, an identity coefficient c and a divisor
 d, and evaluates c * data + layer(data) / d.  The two kernels each have their
-correction matrix; both come from one pass over the near panel pairs and
-share one :class:`BlockCsr` pattern.
+correction matrix; both come from one pass over the near panel pairs, sorted
+by target, and share one :class:`BlockCsr` pattern: plain block CSR of 1x1
+(Laplace) or 3x3 (Stokes) blocks in that pair order.
 
 Every layer potential is one :func:`fmmbem.kernels.kernel_sum` and takes its
 bare 1/r channel evaluator as one argument: the FMM at some order p, or
@@ -75,8 +76,8 @@ class Formulation(enum.Enum):
 class BemOperator:
     """System operator and right-hand-side assembly for one mesh.
 
-    theta, n_crit control the tree evaluation.  The mesh must pass
-    check_closed and check_outward.
+    theta, n_crit control the tree evaluation; mu is the Stokes viscosity.
+    The mesh must pass check_closed and check_outward.
     """
 
     def __init__(self, mesh, formulation, theta=0.5, n_crit=126, mu=1e-3):
@@ -84,6 +85,8 @@ class BemOperator:
             raise ValueError(f"theta must be in (0, 1), got {theta}")
         if n_crit < 1:
             raise ValueError(f"n_crit must be >= 1, got {n_crit}")
+        if not 0.0 < mu < np.inf:
+            raise ValueError(f"mu must be finite and > 0, got {mu}")
         if not check_closed(mesh):
             raise ValueError("mesh fails check_closed: some edge is not shared by exactly "
                              "two triangles, once in each direction")
@@ -162,10 +165,15 @@ class BemOperator:
         singular = {KernelKind.LAPLACE_SINGLE: Q.integrate_singular_laplace,
                     KernelKind.STOKESLET: Q.integrate_singular_stokeslet}
         self_integrals = [singular[kind](pv) if kind in singular else None for kind in kinds]
-        ti, sj = pairs[:, 0], pairs[:, 1]
-
-        def blocks(sel):
-            t, s = ti[sel], sj[sel]
+        # _radius_pairs is source-major with targets ascending, so a stable
+        # sort by target leaves each block row's sources ascending
+        order = np.argsort(pairs[:, 0], kind="stable")
+        ti, sj = pairs[order, 0], pairs[order, 1]
+        del order
+        b = 1 if kinds[0].scalar else 3
+        data = np.empty((len(kinds), b, b, len(ti)))
+        for lo in range(0, len(ti), CORRECTION_CHUNK):
+            t, s = ti[lo:lo + CORRECTION_CHUNK], sj[lo:lo + CORRECTION_CHUNK]
             own = t == s
             w = wts[s]
             # the true self integral is the singular one below, not the
@@ -173,13 +181,11 @@ class BemOperator:
             # flat panel
             w[own, k:] = 0.0
             sums = kernels.rule_sums(kinds, self.centroids[t], pts[s], w, self.normals[s])
-            for value, integral in zip(sums, self_integrals):
+            for value, integral, out in zip(sums, self_integrals, data):
                 if integral is not None:
                     value[own] += integral[s[own]]
-            return sums
-
-        return BlockCsr(ti, sj, self.n_panels, blocks, block_size=1 if kinds[0].scalar else 3,
-                        count=len(kinds))
+                out[..., lo:lo + len(t)] = np.moveaxis(value.reshape(-1, b, b), 0, -1)
+        return BlockCsr(ti, sj, self.n_panels, data)
 
     # -- kernel-layer applications ---------------------------------------------
 
@@ -297,53 +303,24 @@ def _radius_pairs(points, radius):
 
 
 class BlockCsr:
-    """Sparse matrices of b x b blocks on one pattern, stored by block row.
+    """Sparse matrices of b x b blocks on one pattern, in block CSR.
 
-    ``count`` matrices share the block positions (rows[i], cols[i]), and
-    ``matvec(x, k)`` applies matrix k with numpy.  Block rows are stored
-    grouped by their number of blocks, so each group is one dense array and
-    a product is one gather and one batched dot product per group.  Stored
-    row r is block row ``rows[r]``.  The b scalar rows of a block row share
-    one column list, ``indices[indptr[r]:indptr[r + 1]]``, and ``data[k]``
-    holds the values of matrix k in that order, one scalar row after the
-    other.  ``nnz`` counts the scalar entries of all the matrices.
+    ``count`` matrices share the block positions: the blocks of block row r
+    are ``indptr[r]:indptr[r + 1]``, in block columns ``indices``.
+    ``data[k, :, :, q]`` is block q of matrix k, and ``matvec(x, k)``
+    applies matrix k with one gather, one batched block product and one
+    sum per row.  ``nnz`` counts the scalar entries of all the matrices.
     """
 
-    def __init__(self, rows, cols, n, blocks, block_size, count):
-        """rows, cols (nb,) block indices; n block rows.
-
-        blocks(sel) returns, for an index array sel into rows and cols, a
-        list of count arrays, (len(sel),) for b = 1 or (len(sel), b, b): the
-        blocks sel of each matrix.  It is called on at most about
-        CORRECTION_CHUNK blocks at a time, so its temporaries stay small.
-        """
-        b = block_size
-        length = np.bincount(rows, minlength=n)
-        self.rows = np.argsort(length, kind="stable")
-        rank = np.empty(n, dtype=np.intp)
-        rank[self.rows] = np.arange(n)
-        order = np.argsort(rank[rows] * n + cols)
-        width = b * length[self.rows]            # columns of each stored row
-        self.indptr = np.concatenate([[0], np.cumsum(width)])
-        self.indices = (b * cols[order][:, None] + np.arange(b)).ravel()
-        self.data = np.empty((count, b * len(self.indices)))
-        self.block_size = b
-        self._groups = []
-        starts = np.flatnonzero(np.diff(width, prepend=-1))
-        for lo, hi in zip(starts, np.append(starts[1:], n)):
-            e0, e1 = self.indptr[lo], self.indptr[hi]
-            per_row = length[self.rows[lo]]
-            values = [self.data[k, b * e0:b * e1].reshape(hi - lo, b, width[lo])
-                      for k in range(count)]
-            step = max(1, CORRECTION_CHUNK // max(per_row, 1))
-            for r0 in range(lo, hi, step):
-                r1 = min(r0 + step, hi)
-                sel = order[self.indptr[r0] // b:self.indptr[r1] // b]
-                for v, block in zip(values, blocks(sel)):
-                    # (rows, blocks, b, b) -> (rows, b, blocks * b)
-                    v[r0 - lo:r1 - lo] = (np.reshape(block, (r1 - r0, per_row, b, b))
-                                          .transpose(0, 2, 1, 3).reshape(r1 - r0, b, -1))
-            self._groups.append((lo, hi, self.indices[e0:e1].reshape(hi - lo, -1), values))
+    def __init__(self, rows, cols, n, data):
+        """rows, cols (nb,) block indices, rows ascending; n block rows;
+        data (count, b, b, nb), the blocks in that order."""
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        self.indices = cols
+        self.data = data
+        # reduceat would give an empty row the next row's first block, and
+        # raises on a start at the end: it sums the non-empty rows only
+        self._filled = np.flatnonzero(np.diff(self.indptr))
 
     @property
     def nnz(self):
@@ -351,9 +328,9 @@ class BlockCsr:
 
     def matvec(self, x, k):
         """Matrix k times the vector x."""
-        y = np.empty((len(self.rows), self.block_size))
-        for lo, hi, columns, values in self._groups:
-            np.einsum("ram,rm->ra", values[k], np.take(x, columns), out=y[lo:hi])
-        out = np.empty_like(y)
-        out[self.rows] = y
-        return out.reshape(-1)
+        _, b, _, _ = self.data.shape
+        products = np.einsum("acq,cq->aq", self.data[k],
+                             np.take(x.reshape(-1, b).T, self.indices, axis=1))
+        y = np.zeros((len(self.indptr) - 1, b))
+        y[self._filled] = np.add.reduceat(products, self.indptr[self._filled], axis=1).T
+        return y.reshape(-1)

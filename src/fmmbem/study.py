@@ -8,6 +8,7 @@ the relaxation and scaling studies average them over repeated identical
 runs, the convergence study times each solve once.
 """
 
+import csv
 import inspect
 import json
 import time
@@ -59,16 +60,18 @@ class StudyReport:
                            derived=self.derived), fh, indent=1, allow_nan=False)
 
     def write_csv(self, path):
-        """One CSV row per record, columns from the union of record keys."""
-        cols = []
-        for rec in self.records:
-            for k in rec:
-                if k not in cols:
-                    cols.append(k)
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
+        """One CSV row per record, columns from the union of record keys.
+
+        A string is written as it is, any other value as JSON (a list of
+        orders as one quoted cell), a missing one as an empty cell.
+        """
+        cols = list(dict.fromkeys(k for rec in self.records for k in rec))
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, cols, restval="")
+            writer.writeheader()
             for rec in self.records:
-                fh.write(",".join(json.dumps(rec.get(c, "")) for c in cols) + "\n")
+                writer.writerow({k: v if isinstance(v, str) else json.dumps(v)
+                                 for k, v in rec.items()})
 
 
 _FORMULATIONS = {

@@ -160,43 +160,23 @@ def _scipy_blocks(rows, cols, blocks, n):
                          shape=(3 * n, 3 * n))
 
 
-def _recorded_correction(monkeypatch, mesh, formulation):
-    """The operator, its near pairs and each matrix's blocks in pair order, as
-    the correction build handed them to BlockCsr."""
-    built = []
-    block_csr = bemop.BlockCsr
-
-    def recording(rows, cols, n, blocks, **kwargs):
-        seen = []
-
-        def record(sel):
-            values = blocks(sel)
-            seen.append((sel, [v.copy() for v in values]))
-            return values
-
-        built.append((rows, cols, n, seen, block_csr(rows, cols, n, record, **kwargs)))
-        return built[-1][-1]
-
-    monkeypatch.setattr(bemop, "BlockCsr", recording)
+def _recorded_correction(mesh, formulation):
+    """The operator, its near pairs in storage order and each matrix's
+    blocks in that order, read from the operator's BlockCsr."""
     op = BemOperator(mesh, formulation)
-    (rows, cols, n, seen, mat), = built
-    assert mat is op._corrections
-    sel = np.concatenate([s for s, _ in seen])
-    # every block is asked for once
-    np.testing.assert_array_equal(np.sort(sel), np.arange(len(rows)))
-    blocks = []
-    for k in (bemop.SYSTEM, bemop.RHS):
-        values = np.concatenate([v[k] for _, v in seen])
-        blocks.append(np.empty_like(values))
-        blocks[-1][sel] = values
-    return op, np.column_stack([rows, cols]), blocks
+    mat = op._corrections
+    rows = np.repeat(np.arange(op.n_panels), np.diff(mat.indptr))
+    blocks = [np.moveaxis(values, -1, 0) for values in mat.data]
+    if mat.data.shape[1] == 1:          # (nb,) blocks for the scalar kernels
+        blocks = [values.reshape(-1) for values in blocks]
+    return op, np.column_stack([rows, mat.indices]), blocks
 
 
 @pytest.mark.parametrize("formulation", [Formulation.LAPLACE_FIRST, Formulation.STOKES])
-def test_correction_matches_scipy_csr(sphere3, monkeypatch, formulation):
+def test_correction_matches_scipy_csr(sphere3, formulation):
     """For all four kernels, both matrices on the shared pattern apply as
     scipy's CSR of the same triplets."""
-    op, pairs, blocks = _recorded_correction(monkeypatch, sphere3, formulation)
+    op, pairs, blocks = _recorded_correction(sphere3, formulation)
     mat = op._corrections
     x = np.random.default_rng(4).uniform(-1.0, 1.0, size=op.shape[0])
     assert mat.data.shape[0] == 2
@@ -208,11 +188,12 @@ def test_correction_matches_scipy_csr(sphere3, monkeypatch, formulation):
 
 
 @pytest.mark.parametrize("formulation", list(Formulation))
-def test_corrections_match_per_kind_reference(sphere3, monkeypatch, formulation):
+def test_corrections_match_per_kind_reference(sphere3, formulation):
     """The shared 23-point pass gives each kernel's fine-minus-coarse blocks
     of the per-kind build, to 1e-13 of the largest entry."""
-    op, pairs, blocks = _recorded_correction(monkeypatch, sphere3, formulation)
-    np.testing.assert_array_equal(pairs, op._find_near_pairs())
+    op, pairs, blocks = _recorded_correction(sphere3, formulation)
+    near = op._find_near_pairs()
+    np.testing.assert_array_equal(pairs, near[np.lexsort((near[:, 1], near[:, 0]))])
     for (kind, _, _), values in zip(op._sides, blocks):
         ref = OR.correction_blocks(op, kind, pairs)
         assert np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -220,26 +201,30 @@ def test_corrections_match_per_kind_reference(sphere3, monkeypatch, formulation)
 
 @pytest.mark.parametrize("block", [1, 3])
 def test_block_csr_uneven_and_empty_rows(block):
-    """Rows of every length, empty rows included, against scipy's CSR, for
-    two matrices on one pattern."""
+    """Rows of every length, empty rows first or last, against scipy's CSR,
+    for two matrices on one pattern."""
     rng = np.random.default_rng(block)
     n = 40
-    dense = rng.random((n, n)) < np.linspace(0.0, 0.5, n)[:, None]
-    rows, cols = np.nonzero(dense)
-    shape = (2, len(rows)) if block == 1 else (2, len(rows), 3, 3)
-    blocks = rng.uniform(-1.0, 1.0, size=shape)
-    mat = bemop.BlockCsr(rows, cols, n, lambda sel: [blocks[0][sel], blocks[1][sel]],
-                         block_size=block, count=2)
-    x = rng.uniform(-1.0, 1.0, size=block * n)
-    for k in range(2):
-        ref = _scipy_blocks(rows, cols, blocks[k], n)
-        assert mat.nnz == 2 * ref.nnz
-        np.testing.assert_allclose(mat.matvec(x, k), ref @ x, rtol=1e-14, atol=1e-14)
+    # the last rows empty: no reduceat start may equal the number of blocks
+    for density in (np.linspace(0.0, 0.5, n),
+                    np.where(np.arange(n) < n - 6, np.linspace(0.5, 0.1, n), 0.0)):
+        dense = rng.random((n, n)) < density[:, None]
+        rows, cols = np.nonzero(dense)
+        data = rng.uniform(-1.0, 1.0, size=(2, block, block, len(rows)))
+        mat = bemop.BlockCsr(rows, cols, n, data)
+        x = rng.uniform(-1.0, 1.0, size=block * n)
+        for k in range(2):
+            blocks = np.moveaxis(data[k], -1, 0)
+            ref = _scipy_blocks(rows, cols, blocks[:, 0, 0] if block == 1 else blocks, n)
+            assert mat.nnz == 2 * ref.nnz
+            np.testing.assert_allclose(mat.matvec(x, k), ref @ x, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("kwargs, match", [
     (dict(theta=0.0), "theta"), (dict(theta=1.0), "theta"), (dict(theta=-0.5), "theta"),
     (dict(n_crit=0), "n_crit"),
+    (dict(mu=-1e-3), "mu"), (dict(mu=0.0), "mu"), (dict(mu=float("nan")), "mu"),
+    (dict(mu=float("inf")), "mu"),
 ])
 def test_operator_rejects_bad_tree_parameters(sphere3, monkeypatch, kwargs, match):
     def no_tree(*args, **kw):

@@ -1,5 +1,6 @@
 """Richardson extrapolation, report round-trips and small study runs."""
 
+import csv
 import json
 
 import numpy as np
@@ -87,12 +88,20 @@ def test_undefined_order_is_strict_json_null(tmp_path, monkeypatch):
 
 def test_report_csv(tmp_path):
     rep = study.StudyReport("scaling", records=[dict(N=10, time=0.1),
-                                                dict(N=20, time=0.2, extra=1)])
+                                                dict(N=20, time=0.2, extra=1),
+                                                dict(N=40, orders=[10, 9, 8], mesh="a, b")])
     path = tmp_path / "r.csv"
     rep.write_csv(path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "N,time,extra"
-    assert len(lines) == 3
+    assert lines[0] == "N,time,extra,orders,mesh"
+    assert len(lines) == 4
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [len(row) for row in rows] == [5, 5, 5]
+    assert all(None not in row for row in rows)      # no row has surplus fields
+    assert rows[1] == dict(N="20", time="0.2", extra="1", orders="", mesh="")
+    assert json.loads(rows[2]["orders"]) == [10, 9, 8]
+    assert rows[2]["mesh"] == "a, b" and rows[2]["time"] == ""
 
 
 def test_run_scaling_trivial_and_small():
