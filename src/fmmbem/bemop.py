@@ -216,9 +216,8 @@ class BemOperator:
         grad = np.zeros((C, nt, 3)) if want_gradient else None
         for lo in range(0, nt, DENSE_CHUNK):
             sl = slice(lo, lo + DENSE_CHUNK)
-            geo = kernels.pair_geometry(self.centroids[sl], self.src_pos)
-            pot[:, sl], g = kernels.laplace_sum(geo, self.src_pos, charges, dipoles,
-                                                want_gradient)
+            pot[:, sl], g = kernels.direct_laplace_sum(self.centroids[sl], self.src_pos,
+                                                       charges, dipoles, want_gradient)
             if want_gradient:
                 grad[:, sl] = g
         return pot, grad

@@ -1,6 +1,7 @@
 """Command-line front end: mesh generation, solves, and study runs."""
 
 import argparse
+import resource
 import sys
 
 from . import mesh as meshes
@@ -82,6 +83,13 @@ def _run_mesh(args):
     print(f"wrote {m.n_panels} panels ({len(m.vertices)} vertices) to {args.output}")
 
 
+def _peak_rss_mb():
+    """Peak resident set of this process so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes
+    return peak / (2.0 ** 20 if sys.platform == "darwin" else 1024.0)
+
+
 def _run_solve(args):
     op, data, _ = study.setup_problem(meshes.read_mesh(args.mesh), args.problem,
                                       theta=args.theta, n_crit=args.ncrit, mu=args.mu)
@@ -92,7 +100,7 @@ def _run_solve(args):
         problem=args.problem, mesh=args.mesh, p=args.p, p_min=args.p_min,
         tol=args.tol, n_crit=args.ncrit, theta=args.theta))
     rec = dict(N=op.n_panels, iterations=res.n_iterations, converged=res.converged,
-               residuals=res.residuals, orders=res.orders)
+               residuals=res.residuals, orders=res.orders, peak_rss_mb=_peak_rss_mb())
     if args.problem == "stokes":
         rec["drag"] = list(map(float, op.drag_force(res.x)))
     rep.records.append(rec)

@@ -8,6 +8,13 @@ lower ``p`` each iteration without rebuilding anything.
 The harmonic machinery works on the bare 1/r kernel with monopole and dipole
 sources, for C channels at once; :func:`fmmbem.kernels.kernel_sum` reduces
 every kernel to such channels and recombines their values and gradients.
+
+One apply holds its expansions, the multipoles only until M2L has read
+them, and beyond them one block of temporaries at a time: in P2M and L2P
+the packed harmonics of one block of bodies (at most BLOCK_BYTES) and the
+field rows of one leaf, in each translation sweep the coefficients of one
+block of a group's cells, and in P2P the at most two (Nt, Ns) work arrays
+of one :func:`fmmbem.kernels.laplace_sum`.
 """
 
 import functools
@@ -25,9 +32,9 @@ from .octree import MAX_DEPTH, build_tree, bounding_cube
 CELL_RADIUS_FACTOR = 1.0
 
 
-# Bodies per block of packed harmonics in P2M and L2P: 2048 x (19^2) doubles
-# is 5.6 MiB at p = 18, and larger blocks run no faster.
-POINT_CHUNK = 2048
+# Bytes of packed harmonics per block of bodies in P2M and L2P: 1 MiB is
+# 363 bodies at p = 18 and 3640 at p = 5, and larger blocks run no faster.
+BLOCK_BYTES = 2 ** 20
 
 
 def dual_traversal(src_tree, tgt_tree, theta):
@@ -104,20 +111,25 @@ def _child_parent(tree):
 
 def _sweep(kind, groups, grids, p, src, dst):
     """dst[b] += diag(s) T diag(s) src[a] for every member (a, b, flip) of
-    every group, one GEMM per member, in the order of groups.
+    every group, in the order of groups.
 
     T is the kind's operator built from the group's signed grid row, and s
     the reflection signs of flip (see harmonics.reflection_signs).  The
-    destination cells of one member must not repeat.
+    destination cells of one member must not repeat.  A member's cells go
+    in blocks of at most BLOCK_BYTES of coefficients, one GEMM each.
     """
     maps = H.translation_maps(kind, p)
     signs = H.reflection_signs(p)
+    _, C, size = src.shape
+    step = max(1, BLOCK_BYTES // (8 * C * size))
     for grid, members in zip(grids, groups):
         T = H.assemble(grid, maps)
         for a, b, flip in members:
-            x = src[a] * signs[flip]
-            n, C, size = x.shape
-            dst[b] += (x.reshape(n * C, size) @ T.T).reshape(n, C, size) * signs[flip]
+            for lo in range(0, len(a), step):
+                x = src[a[lo:lo + step]] * signs[flip]
+                n = len(x)
+                dst[b[lo:lo + step]] += (
+                    (x.reshape(n * C, size) @ T.T).reshape(n, C, size) * signs[flip])
 
 
 class FmmPlan:
@@ -197,6 +209,7 @@ class FmmPlan:
 
         M = self._upward(charges, dipoles, p, C, size)
         L = self._m2l_sweep(M, p, C, size)
+        del M       # read by M2L alone: freed before L2L and L2P
         self._l2l_sweep(L, p)
         pot = np.zeros((C, nt))
         grad = np.zeros((C, nt, 3)) if want_gradient else None
@@ -217,42 +230,50 @@ class FmmPlan:
     def _leaf_multipoles(self, q, dip, p, C, M):
         """Add each source leaf's multipole coefficients to its row of M.
 
-        Each leaf block forms [q; d_x; d_y; d_z] @ R with one GEMM; the
-        dipole moments become multipole coefficients through the adjoint
-        gradient shift, applied per block so that no array of every leaf's
-        moments is ever held.
+        Each leaf's slice of a block forms [q; d_x; d_y; d_z] @ R with one
+        GEMM; the dipole moments become multipole coefficients through the
+        adjoint gradient shift.  Densities are gathered block by block.
         """
         tree = self.src_tree
-        rows = [] if q is None else [q[:, tree.perm]]
-        if dip is not None:
-            # (C, 3, N): the three moment rows of a channel are adjacent
-            rows.append(np.moveaxis(dip[:, tree.perm], 2, 1).reshape(3 * C, -1))
-        weights = np.vstack(rows)
 
-        def visit(i, s, e, R):
-            raw = weights[:, s:e] @ R
-            cell = tree.leaves[i]
-            if q is not None:
-                M[cell] += raw[:C]
+        def visit(bodies, R, slices):
+            rows = [] if q is None else [q[:, bodies]]
             if dip is not None:
-                M[cell] += H.dipole_shift(raw[-3 * C:].reshape(C, 3, -1), p)
+                # (C, 3, n): the three moment rows of a channel are adjacent
+                rows.append(np.moveaxis(dip[:, bodies], 2, 1).reshape(3 * C, -1))
+            weights = np.vstack(rows)
+            for i, s, e in slices:
+                raw = weights[:, s:e] @ R[s:e]
+                cell = tree.leaves[i]
+                if q is not None:
+                    M[cell] += raw[:C]
+                if dip is not None:
+                    M[cell] += H.dipole_shift(raw[-3 * C:].reshape(C, 3, -1), p)
 
         self._leaf_blocks(tree, p, visit)
 
     @staticmethod
     def _leaf_blocks(tree, p, visit):
-        """Call visit(leaf number, start, end, R) for each leaf's slice of each
-        point chunk, R the packed regular harmonics of those bodies about
-        their leaf center, shape (end - start, (p+1)^2)."""
-        rel = tree.sorted_points - tree.center[tree.leaf_of_body]
+        """Call visit(bodies, R, slices) for each block of sorted bodies.
+
+        bodies are the block's body indices, R their packed regular harmonics
+        about their leaf centers, shape (len(bodies), (p+1)^2), and slices
+        the (leaf number, start, end) of each leaf's part of the block, start
+        and end counted within the block.  R takes at most BLOCK_BYTES, and
+        one block is alive at a time.
+        """
+        step = max(1, BLOCK_BYTES // (8 * H.num_coeffs(p)))
         starts = tree.body_start[tree.leaves]
         ends = starts + tree.body_count[tree.leaves]
-        for lo in range(0, len(rel), POINT_CHUNK):
-            hi = min(lo + POINT_CHUNK, len(rel))
-            R = H.packed_regular(rel[lo:hi], p)
-            for i in np.flatnonzero((ends > lo) & (starts < hi)):
-                s, e = max(starts[i], lo), min(ends[i], hi)
-                visit(i, s, e, R[s - lo:e - lo])
+        for lo in range(0, len(tree.perm), step):
+            hi = min(lo + step, len(tree.perm))
+            R = H.packed_regular(
+                tree.sorted_points[lo:hi] - tree.center[tree.leaf_of_body[lo:hi]], p)
+            leaves = np.flatnonzero((ends > lo) & (starts < hi))
+            slices = zip(leaves.tolist(), (np.maximum(starts[leaves], lo) - lo).tolist(),
+                         (np.minimum(ends[leaves], hi) - lo).tolist())
+            visit(tree.perm[lo:hi], R, slices)
+            del R
 
     def _m2l_sweep(self, M, p, C, size):
         L = np.zeros((self.tgt_tree.n_cells, C, size))
@@ -267,21 +288,27 @@ class FmmPlan:
         _sweep("l2l", self._l2l_groups[::-1], grids[::-1], p, L, L)
 
     def _l2p(self, L, p, pot, grad):
-        """Potential (and gradient) rows of every leaf against its bodies'
-        regular harmonics, one GEMM per leaf block."""
+        """Add the potential (and gradient) of every leaf's local expansion at
+        its bodies, one GEMM per leaf slice of a block.  A leaf's field rows
+        are formed when the first block of its bodies comes."""
         tree = self.tgt_tree
-        rows = H.local_field_coeffs(L[tree.leaves], p, grad is not None)
-        n_leaf, C, k, size = rows.shape
-        rows = rows.reshape(n_leaf, C * k, size)
-        field = np.zeros((C, k, len(tree.perm)))     # in sorted body order
+        _, C, size = L.shape
+        k = 1 if grad is None else 4
+        leaf = rows = None
 
-        def visit(i, s, e, R):
-            field[:, :, s:e] += (rows[i] @ R.T).reshape(C, k, e - s)
+        def visit(bodies, R, slices):
+            nonlocal leaf, rows
+            field = np.empty((C, k, len(bodies)))
+            for i, s, e in slices:
+                if i != leaf:
+                    leaf = i
+                    rows = H.local_field_coeffs(L[tree.leaves[i]], p, k > 1).reshape(-1, size)
+                field[:, :, s:e] = (rows @ R[s:e].T).reshape(C, k, e - s)
+            pot[:, bodies] += field[:, 0]
+            if grad is not None:
+                grad[:, bodies] += np.moveaxis(field[:, 1:], 1, 2)
 
         self._leaf_blocks(tree, p, visit)
-        pot[:, tree.perm] += field[:, 0]
-        if grad is not None:
-            grad[:, tree.perm] += np.moveaxis(field[:, 1:], 1, 2)
 
     # -- near field -------------------------------------------------------------
 
@@ -315,7 +342,10 @@ class FmmPlan:
                                    want_gradient=want_gradient)
         npot, ngrad = self.near_field(charges=charges, dipoles=dipoles,
                                       want_gradient=want_gradient)
-        return pot + npot, None if grad is None else grad + ngrad
+        pot += npot
+        if grad is not None:
+            grad += ngrad
+        return pot, grad
 
 
 def evaluate(kernel, src_pos, weights, targets, p, theta=0.5, n_crit=126,

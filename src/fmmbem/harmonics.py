@@ -40,8 +40,9 @@ so its operator is the L2L or M2M operator of the offset's n = 1
 harmonics; it acts on coefficients through index and weight tables, each
 output slot a weighted sum of at most two input slots per axis.
 
-Functions are batched over the leading axis.  ``translation_maps`` and
-``shift_terms`` cache their tables per order; nothing else keeps state.
+Functions are batched over the leading axis.  ``translation_maps``,
+``shift_terms`` and the local slot weights are cached per order; nothing
+else keeps state.
 """
 
 from functools import lru_cache
@@ -65,32 +66,43 @@ def _packed(vecs, p, irreg):
 
     Along each m the recurrence in n has real coefficients, so c_n^m is a real
     factor times the complex diagonal entry c_m^m; only that entry is carried
-    as a (real, imaginary) pair.
+    as a (real, imaginary) pair.  Each step in n advances the factors of
+    every m at once.
     """
     v = np.atleast_2d(np.asarray(vecs, dtype=float))
     x, y, z = (np.ascontiguousarray(v[:, i]) for i in range(3))
     rho2 = x * x + y * y + z * z
     inv = 1.0 / rho2 if irreg else None
+    # row m: the diagonal entry c_m^m
+    re, im = np.empty((p + 1, len(v))), np.empty((p + 1, len(v)))
+    re[0] = 1.0 / np.sqrt(rho2) if irreg else 1.0
+    im[0] = 0.0
+    for m in range(1, p + 1):
+        c = -(2 * m - 1) * inv if irreg else -1.0 / (2 * m)
+        re[m] = c * (x * re[m - 1] - y * im[m - 1])
+        im[m] = c * (x * im[m - 1] + y * re[m - 1])
     out = np.empty((num_coeffs(p), len(v)))
-    re = 1.0 / np.sqrt(rho2) if irreg else np.ones(len(v))
-    im = np.zeros(len(v))
-    for m in range(p + 1):
-        if m:
-            c = -(2 * m - 1) * inv if irreg else -1.0 / (2 * m)
-            re, im = c * (x * re - y * im), c * (x * im + y * re)
-        a2, a1 = None, np.ones(len(v))
-        for n in range(m, p + 1):
-            if n == m + 1:
-                a2, a1 = a1, ((2 * m + 1) * z * inv) if irreg else z
-            elif n > m + 1:
-                if irreg:
-                    a = ((2 * n - 1) * z * a1 - ((n - 1) ** 2 - m * m) * a2) * inv
-                else:
-                    a = ((2 * n - 1) * z * a1 - rho2 * a2) * (1.0 / ((n + m) * (n - m)))
-                a2, a1 = a1, a
-            np.multiply(a1, re, out=out[flat_index(n, m)])
-            if m:
-                np.multiply(a1, im, out=out[flat_index(n, -m)])
+    a1 = a2 = None        # row m: the factors of orders n - 1 and n - 2
+    for n in range(p + 1):
+        a = np.empty((n + 1, len(v)))
+        a[n] = 1.0
+        if n:
+            a[n - 1] = ((2 * n - 1) * z * inv) if irreg else z
+        if n > 1:
+            # m < n - 1: ((2n - 1) z a1 - c a2) d, with c = (n - 1)^2 - m^2 and
+            # d = 1 / rho^2 for I, c = rho^2 and d = 1 / ((n + m)(n - m)) for R
+            m = np.arange(n - 1)[:, None]
+            rest = np.multiply((2 * n - 1) * z, a1[:-1], out=a[:-2])
+            if irreg:
+                rest -= ((n - 1) ** 2 - m * m) * a2
+                rest *= inv
+            else:
+                rest -= rho2 * a2
+                rest *= 1.0 / ((n + m) * (n - m))
+        # slots (n, 0..n) hold a re, slots (n, -n..-1) hold a im
+        np.multiply(a, re[:n + 1], out=out[n * n + n:(n + 1) ** 2])
+        np.multiply(a[:0:-1], im[n:0:-1], out=out[n * n:n * n + n])
+        a2, a1 = a1, a
     return out
 
 
@@ -138,6 +150,10 @@ _TRANSLATIONS = {
     "m2l": (lambda p: 2 * p, True, lambda no, mo, ni, mi: (ni + no, mi + mo)),
 }
 
+# (output, input) slot pairs per row block of _build_maps: its integer
+# temporaries stay at 128 KiB each
+MAP_BLOCK = 16384
+
 # kind -> (p, maps) of the highest order built so far: every lower order is
 # a slice of it
 _HIGHEST_MAPS = {}
@@ -178,37 +194,41 @@ def _build_maps(kind, p):
     Complex units are (real, imaginary) pairs of integers.  Output slot
     (n, m) is Re(o_w c_(n, |m|)) with o_w = 1, or -i for m < 0; input column
     (n, m) reads the full inputs (n, +-|m|) with unit weights w_i; the grid
-    entry of the term is g1 G[re_idx] + i g_im G[im_idx].
+    entry of the term is g1 G[re_idx] + i g_im G[im_idx].  Output rows go in
+    blocks of MAP_BLOCK entries, so that no temporary is S x S.
     """
     q_of, conj, grid_nm = _TRANSLATIONS[kind]
     size_q = num_coeffs(q_of(p))
     n, m = _slots(p)
-    n_o, o_mu = n[:, None], np.abs(m)[:, None]
-    o_neg = m[:, None] < 0
-    n_i = n[None, :]
-    maps = []
-    for sgn in (1, -1):
+    maps = np.empty((2, len(n), len(n)), dtype=np.intp)
+    step = max(1, MAP_BLOCK // len(n))
+    for k, sgn in enumerate((1, -1)):
         # w_i of the full input (n, sgn |m|) read by packed column (n, m)
         if sgn > 0:
             w_re, w_im = np.where(m < 0, 0, 1), np.where(m < 0, 1, 0)
         else:
             w_re, w_im = np.where(m > 0, _odd(m), 0), np.where(m < 0, -_odd(m), 0)
-        # u = o_w w_i, where -i (c + i d) = d - i c
-        u_re = np.where(o_neg, w_im[None, :], w_re[None, :])
-        u_im = np.where(o_neg, -w_re[None, :], w_im[None, :])
-        nu, mu = grid_nm(n_o, o_mu, n_i, sgn * np.abs(m)[None, :])
-        # an invalid term gets sign 0, whatever its index
-        valid = (nu >= 0) & (np.abs(mu) <= nu) & ((sgn > 0) | (m != 0))[None, :]
-        g1 = np.where(mu < 0, _odd(mu), 1)
-        g_im = np.where(mu > 0, 1, np.where(mu < 0, -_odd(mu), 0))
-        if conj:
-            g_im = -g_im
-        real_u = u_re != 0
-        # Re(u g) is u g1 G[re_idx] for real u, -Im(u) g_im G[im_idx] otherwise
-        sign = np.where(real_u, u_re * g1, -u_im * g_im) * valid
-        index = flat_index(nu, np.where(real_u, 1, -1) * np.abs(mu))
-        maps.append(np.where(sign > 0, index,
-                             np.where(sign < 0, index + size_q, 2 * size_q)).astype(np.intp))
+        present = (sgn > 0) | (m != 0)
+        for lo in range(0, len(n), step):
+            rows = slice(lo, lo + step)
+            n_o, o_mu = n[rows, None], np.abs(m)[rows, None]
+            o_neg = m[rows, None] < 0
+            # u = o_w w_i, where -i (c + i d) = d - i c
+            u_re = np.where(o_neg, w_im, w_re)
+            u_im = np.where(o_neg, -w_re, w_im)
+            nu, mu = grid_nm(n_o, o_mu, n, sgn * np.abs(m))
+            # an invalid term gets sign 0, whatever its index
+            valid = (nu >= 0) & (np.abs(mu) <= nu) & present
+            g1 = np.where(mu < 0, _odd(mu), 1)
+            g_im = np.where(mu > 0, 1, np.where(mu < 0, -_odd(mu), 0))
+            if conj:
+                g_im = -g_im
+            real_u = u_re != 0
+            # Re(u g) is u g1 G[re_idx] for real u, -Im(u) g_im G[im_idx] otherwise
+            sign = np.where(real_u, u_re * g1, -u_im * g_im) * valid
+            index = flat_index(nu, np.where(real_u, 1, -1) * np.abs(mu))
+            maps[k, rows] = np.where(sign > 0, index,
+                                     np.where(sign < 0, index + size_q, 2 * size_q))
     return tuple(maps)
 
 
@@ -265,20 +285,34 @@ def shift_terms(kind, p):
     5 for 'dipole'; unused terms have weight 0.
     """
     n, _ = _slots(p)
-    grids = np.where(n == 1, packed_regular(np.eye(3), p), 0.0)
+    size = len(n)
+    ones = np.flatnonzero(n == 1)
+    grids = signed_grid(np.where(n == 1, packed_regular(np.eye(3), p), 0.0))
     maps = translation_maps("m2m" if kind == "dipole" else "l2l", p)
-    # 'local' stacks the three axes as row blocks (3S x S), 'dipole' as
-    # column blocks (S x 3S)
-    op = np.concatenate([assemble(g, maps) for g in signed_grid(grids)],
-                        axis=1 if kind == "dipole" else 0)
+    # only the n = 1 slots of the grids are nonzero, so only the entries
+    # whose maps point at one of them can be
+    hit = np.zeros(2 * size + 1, dtype=bool)
+    hit[ones] = hit[ones + size] = True
+    rows, cols = np.nonzero(hit[maps[0]] | hit[maps[1]])
+    # the entries of axis a, as assemble sums them; 'local' stacks the axes
+    # as row blocks (3S x S), 'dipole' as column blocks (S x 3S)
+    values = (grids[:, maps[0][rows, cols]] + grids[:, maps[1][rows, cols]]).ravel()
+    block = np.repeat(np.arange(3) * size, len(rows))
+    rows, cols = np.tile(rows, 3), np.tile(cols, 3)
+    if kind == "dipole":
+        cols += block
+    else:
+        rows += block
     # the nonzeros, row-major: one table term each
-    rows, cols = np.nonzero(op)
-    counts = np.bincount(rows, minlength=len(op))
+    keep = np.flatnonzero(values)
+    order = keep[np.lexsort((cols[keep], rows[keep]))]
+    rows, cols, values = rows[order], cols[order], values[order]
+    counts = np.bincount(rows, minlength=size if kind == "dipole" else 3 * size)
     term = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    index = np.zeros((counts.max(initial=0), len(op)), dtype=np.intp)
+    index = np.zeros((counts.max(initial=0), len(counts)), dtype=np.intp)
     weight = np.zeros(index.shape)
     index[term, rows] = cols
-    weight[term, rows] = op[rows, cols]
+    weight[term, rows] = values
     return index, weight
 
 
@@ -305,6 +339,16 @@ def dipole_shift(moments, p):
     return _apply_shift(flat, shift_terms("dipole", p), num_coeffs(p))[..., 0, :]
 
 
+@lru_cache(maxsize=8)
+def _local_weights(p):
+    """Slot weights of a local expansion against regular harmonics: 1, 2 and
+    -2 for the m = 0, m > 0 and m < 0 slots.  Read-only."""
+    _, m = _slots(p)
+    w = np.where(m == 0, 1.0, np.where(m > 0, 2.0, -2.0))
+    w.flags.writeable = False
+    return w
+
+
 def local_field_coeffs(coeffs, p, want_gradient=False):
     """Rows that turn packed regular harmonics into a local expansion's field.
 
@@ -312,8 +356,7 @@ def local_field_coeffs(coeffs, p, want_gradient=False):
     (potential) or 4 (potential, d/dx, d/dy, d/dz), slot weights included, so
     that ``rows @ packed_regular(rel, p).T`` is the field at ``rel``.
     """
-    _, m = _slots(p)
-    w = np.where(m == 0, 1.0, np.where(m > 0, 2.0, -2.0))
+    w = _local_weights(p)
     pot = (coeffs * w)[..., None, :]
     if not want_gradient:
         return pot

@@ -147,8 +147,9 @@ def _augmented(z, scale, ones_first):
     return out
 
 
-def pair_geometry(targets, sources):
-    """The :class:`PairGeometry` of targets (Nt, 3) against sources (Ns, 3)."""
+def _geometry(targets, sources):
+    """The :class:`PairGeometry` of targets (Nt, 3) against sources (Ns, 3),
+    the centred sources and the (Nt, Ns) squared distances, close pairs patched."""
     origin = np.mean(targets, axis=0)
     xa = _augmented(np.asarray(targets, dtype=float) - origin, 1.0, ones_first=True)
     y = np.asarray(sources, dtype=float) - origin
@@ -162,7 +163,13 @@ def pair_geometry(targets, sources):
     diff = xa[ti, :3] - y[si]
     dc = np.einsum("ki,ki->k", diff, diff)
     dc[dc == 0.0] = np.inf
-    return PairGeometry(origin, xa, close, dc)
+    np.put(d2, close, dc)
+    return PairGeometry(origin, xa, close, dc), y, d2
+
+
+def pair_geometry(targets, sources):
+    """The :class:`PairGeometry` of targets (Nt, 3) against sources (Ns, 3)."""
+    return _geometry(targets, sources)[0]
 
 
 def laplace_sum(geo, sources, charges=None, dipoles=None, want_gradient=False):
@@ -177,42 +184,61 @@ def laplace_sum(geo, sources, charges=None, dipoles=None, want_gradient=False):
     y = np.asarray(sources, dtype=float) - geo.origin
     d2 = geo.xa @ _augmented(y, -2.0, ones_first=False).T
     np.put(d2, geo.close, geo.close_d2)
+    return _pair_sums(geo, y, d2, charges, dipoles, want_gradient)
+
+
+def direct_laplace_sum(targets, sources, charges=None, dipoles=None, want_gradient=False):
+    """:func:`laplace_sum` of targets (Nt, 3) against sources (Ns, 3), from
+    the squared distances that finding the pair geometry forms."""
+    return _pair_sums(*_geometry(targets, sources), charges, dipoles, want_gradient)
+
+
+def _pair_sums(geo, y, d2, charges, dipoles, want_gradient):
+    """The sums of :func:`laplace_sum` over sources y centred on geo.origin,
+    d2 their squared distances to the targets; d2 is overwritten.
+
+    The 1/r^k kernels take turns in one (Nt, Ns) array beside d2's: 1/r^3
+    and 1/r^5 are formed in place once the lower power is no longer needed.
+    """
     x = geo.xa[:, :3]
     inv2 = np.divide(1.0, d2, out=d2)
-    inv = np.sqrt(inv2)
-    nt, ns = inv.shape
+    kern = np.sqrt(inv2)
+    nt, ns = kern.shape
 
-    def gemm(rows, kern):
+    def gemm(rows):
         """sum_s rows[..., s] kern[t, s], shape (..., Nt)."""
         return (rows.reshape(-1, ns) @ kern.T).reshape(rows.shape[:-1] + (nt,))
 
-    def separation_sum(rows, kern):
+    def separation_sum(rows):
         """sum_s rows[..., s] (x_t - y_s) kern[t, s], shape (..., Nt, 3)."""
-        f = gemm(np.stack([rows] + [rows * y[:, j] for j in range(3)]), kern)
+        stacked = np.empty((4,) + rows.shape)
+        stacked[0] = rows
+        np.multiply(rows, y.T.reshape((3,) + (1,) * (rows.ndim - 1) + (ns,)), out=stacked[1:])
+        f = gemm(stacked)
         return f[0][..., None] * x - np.moveaxis(f[1:], 0, -1)
 
     C = len(charges if charges is not None else dipoles)
     pot = np.zeros((C, nt))
     grad = np.zeros((C, nt, 3)) if want_gradient else None
     if charges is not None:
-        pot += gemm(charges, inv)
+        pot += gemm(charges)
     if not want_gradient and dipoles is None:
         return pot, grad
-    inv3 = inv * inv2
+    kern *= inv2                                  # 1/r^3
     if charges is not None and want_gradient:
-        grad -= separation_sum(charges, inv3)
+        grad -= separation_sum(charges)
     if dipoles is not None:
         # d . (x - y) = xh . m with xh = (x, 1) and m = (d, -d . y)
         m = np.concatenate([np.moveaxis(dipoles, -1, 0),
                             -np.einsum("csi,si->cs", dipoles, y)[None]])
         xh = geo.xa[:, :4]
-        b = gemm(m, inv3)
+        b = gemm(m)
         pot += np.einsum("kct,tk->ct", b, xh)
         if want_gradient:
             # grad of d . r / r^3 is d / r^3 - 3 (d . r) r / r^5
-            inv5 = inv3 * inv2
+            kern *= inv2                          # 1/r^5
             grad += np.moveaxis(b[:3], 0, -1)
-            grad -= 3.0 * np.einsum("kctj,tk->ctj", separation_sum(m, inv5), xh)
+            grad -= 3.0 * np.einsum("kctj,tk->ctj", separation_sum(m), xh)
     return pot, grad
 
 

@@ -2,9 +2,11 @@
 
 The package runs only the packed real forms of :mod:`fmmbem.harmonics`.
 These are what the tests check them against: the complex harmonics
-R_n^m and I_n^m as defined in that module's docstring, the translation
+R_n^m and I_n^m as defined in that module's docstring, the packed ones
+computed slot by slot, the translation
 maps derived in complex arithmetic, the gradient and dipole shift tables
-derived from the complex shift rules, a dense translation operator per
+derived from the complex shift rules and read off dense n = 1 translation
+operators, a dense translation operator per
 offset, the gradient shift of a multipole expansion, point-to-expansion
 and expansion-to-point evaluation built from the packed pieces, and the
 truncation bound of a multipole expansion.
@@ -63,6 +65,36 @@ def irregular(vecs, p):
     for n in range(1, p + 1):
         for m in range(1, n + 1):
             out[:, flat_index(n, -m)] = (-1) ** m * np.conj(out[:, flat_index(n, m)])
+    return out
+
+
+def packed_by_m(vecs, p, irreg):
+    """The slot-major (S, N) array of :func:`fmmbem.harmonics._packed`, one
+    recurrence in n per m, each slot its own operations."""
+    v = np.atleast_2d(np.asarray(vecs, dtype=float))
+    x, y, z = (np.ascontiguousarray(v[:, i]) for i in range(3))
+    rho2 = x * x + y * y + z * z
+    inv = 1.0 / rho2 if irreg else None
+    out = np.empty((num_coeffs(p), len(v)))
+    re = 1.0 / np.sqrt(rho2) if irreg else np.ones(len(v))
+    im = np.zeros(len(v))
+    for m in range(p + 1):
+        if m:
+            c = -(2 * m - 1) * inv if irreg else -1.0 / (2 * m)
+            re, im = c * (x * re - y * im), c * (x * im + y * re)
+        a2, a1 = None, np.ones(len(v))
+        for n in range(m, p + 1):
+            if n == m + 1:
+                a2, a1 = a1, ((2 * m + 1) * z * inv) if irreg else z
+            elif n > m + 1:
+                if irreg:
+                    a = ((2 * n - 1) * z * a1 - ((n - 1) ** 2 - m * m) * a2) * inv
+                else:
+                    a = ((2 * n - 1) * z * a1 - rho2 * a2) * (1.0 / ((n + m) * (n - m)))
+                a2, a1 = a1, a
+            np.multiply(a1, re, out=out[flat_index(n, m)])
+            if m:
+                np.multiply(a1, im, out=out[flat_index(n, -m)])
     return out
 
 
@@ -173,6 +205,27 @@ def shift_terms(kind, p):
     size = num_coeffs(p)
     n_in, n_out = (3 * size, size) if kind == "dipole" else (size, 3 * size)
     return shift_tables(*shift_entries(kind, p), n_in, n_out)
+
+
+def dense_shift_terms(kind, p):
+    """The tables of :func:`fmmbem.harmonics.shift_terms` read off the three
+    n = 1 translation operators, each assembled as a dense S x S matrix."""
+    n, _ = H._slots(p)
+    grids = np.where(n == 1, H.packed_regular(np.eye(3), p), 0.0)
+    maps = H.translation_maps("m2m" if kind == "dipole" else "l2l", p)
+    # 'local' stacks the three axes as row blocks (3S x S), 'dipole' as
+    # column blocks (S x 3S)
+    op = np.concatenate([H.assemble(g, maps) for g in H.signed_grid(grids)],
+                        axis=1 if kind == "dipole" else 0)
+    # the nonzeros, row-major: one table term each
+    rows, cols = np.nonzero(op)
+    counts = np.bincount(rows, minlength=len(op))
+    term = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.zeros((counts.max(initial=0), len(op)), dtype=np.intp)
+    weight = np.zeros(index.shape)
+    index[term, rows] = cols
+    weight[term, rows] = op[rows, cols]
+    return index, weight
 
 
 def multipole_shift_entries(p):

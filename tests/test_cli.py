@@ -38,6 +38,7 @@ def test_solve_command(tmp_path):
     assert rec["converged"]
     assert len(rec["residuals"]) == len(rec["orders"]) == rec["iterations"]
     assert all(a >= b for a, b in zip(rec["orders"], rec["orders"][1:]))
+    assert rec["peak_rss_mb"] > 0.0
 
 
 def test_solve_command_exits_1_when_not_converged(tmp_path):

@@ -227,6 +227,21 @@ def test_gradient_consistency():
         assert np.median(np.abs(grad[:, axis] - fd) / (np.abs(fd) + 1.0)) < 1e-3
 
 
+def test_far_field_holds_expansions_and_one_block(traced_peak):
+    """One p = 18 far field of 7 dipole channels with gradients holds, beyond
+    its multipoles and locals (4.8 MiB here), one block of temporaries.
+
+    The traced peak is 8.1 MiB.  Keeping the multipoles through L2L and L2P,
+    the field rows of every leaf at once and 2048-body harmonics blocks took
+    it to 17.9 MiB; the bound lies between the two.
+    """
+    plan = _sphere_plan()
+    dip = np.random.default_rng(0).normal(size=(7, len(plan.src_tree.points), 3))
+    plan.far_field(dipoles=dip, p=18, want_gradient=True)   # maps and grids of p = 18
+    peak = traced_peak(lambda: plan.far_field(dipoles=dip, p=18, want_gradient=True))
+    assert peak < 12 * 2 ** 20, peak / 2 ** 20
+
+
 def test_plan_reuse_across_orders():
     pos, q = _random_sources(900, 9)
     tgt = np.random.default_rng(32).uniform(0.0, 1.0, size=(900, 3))

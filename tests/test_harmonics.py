@@ -163,6 +163,16 @@ def _assert_close(value, ref):
                                atol=1e-12 * np.abs(ref).max())
 
 
+def test_packed_harmonics_equal_slot_by_slot_recurrence():
+    """Advancing every m at once does each slot's arithmetic of the
+    recurrence in n per m, in the same order, at every order up to 36."""
+    rng = np.random.default_rng(7)
+    vecs = rng.normal(size=(65, 3)) * rng.uniform(0.1, 10.0, size=(65, 1))
+    for p in range(37):
+        for irreg in (False, True):
+            assert np.array_equal(H._packed(vecs, p, irreg), HR.packed_by_m(vecs, p, irreg)), p
+
+
 @pytest.mark.parametrize("p", [1, 2, 5, 16, 18])
 def test_packed_forms_match_complex_definition(p):
     """Every packed translation reproduces the complex sums of regular/irregular."""
@@ -258,6 +268,18 @@ def test_shift_tables_equal_complex_derivation(kind):
     for p in range(19):
         index, weight = H.shift_terms(kind, p)
         ref_index, ref_weight = HR.shift_terms(kind, p)
+        assert index.dtype == ref_index.dtype and weight.dtype == ref_weight.dtype
+        assert np.array_equal(index, ref_index), p
+        assert np.array_equal(weight, ref_weight), p
+
+
+@pytest.mark.parametrize("kind", ["local", "dipole"])
+def test_shift_tables_equal_dense_operators(kind):
+    """Gathering the map entries that point at the n = 1 grid slots gives the
+    tables of the three assembled n = 1 operators at every order up to 18."""
+    for p in range(19):
+        index, weight = H.shift_terms(kind, p)
+        ref_index, ref_weight = HR.dense_shift_terms(kind, p)
         assert index.dtype == ref_index.dtype and weight.dtype == ref_weight.dtype
         assert np.array_equal(index, ref_index), p
         assert np.array_equal(weight, ref_weight), p
