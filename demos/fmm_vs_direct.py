@@ -1,7 +1,7 @@
 """Fast summation versus the direct N-body sum.
 
 Builds a cloud of random charges, evaluates the 1/r potential both ways,
-and shows the truncation error falling like 2^-p while the cost stays
+and shows the truncation error staying below 2^-p while the cost stays
 nearly linear in N.
 """
 
@@ -32,5 +32,5 @@ for p in (2, 4, 6, 8, 10, 12, 15):
     err = np.linalg.norm(val - ref) / np.linalg.norm(ref)
     print(f"  {p:2d}    {err:12.3e}    {dt:8.3f}    {2.0 ** -p:8.1e}")
 
-print("\nThe error tracks 2^-p, which is exactly what the relaxation rule")
+print("\nThe error stays below 2^-p, which is what the relaxation rule")
 print("p = ceil(-log2 eps) assumes when it lowers the order mid-solve.")

@@ -1,6 +1,7 @@
 """Command-line front end: mesh generation, solves, and study runs."""
 
 import argparse
+import inspect
 import resource
 import sys
 
@@ -139,6 +140,16 @@ def main(argv=None):
     _add_solve_parser(sub)
     _add_study_parser(sub)
     args = parser.parse_args(argv)
+    if hasattr(args, "tol"):
+        # a solve or a solving study: reject what gmres would before anything
+        # is read or built; a study solves with solver.solve's p_min and
+        # max_iter unless it sets them
+        solve = inspect.signature(solver.solve).parameters
+        try:
+            solver.check_inputs(args.tol, args.p, getattr(args, "p_min", solve["p_min"].default),
+                                getattr(args, "max_iters", solve["max_iter"].default))
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.command == "solve":
         return _run_solve(args)
     if args.command == "mesh":

@@ -26,9 +26,9 @@ from .kernels import kernel_sum, laplace_sum, pair_geometry
 from .octree import MAX_DEPTH, build_tree, bounding_cube
 
 # Cell size entering the acceptance criterion, in units of the cube half
-# width.  With 1.0 the measured far-field error tracks ~2^-p at theta = 0.5,
-# which is what the order rule p = ceil(-log2 eps) of solver.schedule_p
-# assumes.
+# width.  With 1.0 the measured far-field error stays below 2^-p at
+# theta = 0.5, which is what the order rule p = ceil(-log2 eps) of
+# solver.schedule_p assumes.
 CELL_RADIUS_FACTOR = 1.0
 
 
@@ -166,7 +166,7 @@ class FmmPlan:
             sources = np.sort(sources)
             self._p2p.append((targets, sources,
                               pair_geometry(tgt.points[targets], src.points[sources])))
-        self._igrid = (None, None)   # (p, signed M2L grid) of the last order used
+        self._grids = {}   # kind -> (p, signed grid) of the highest order used
 
     # -- structural bookkeeping -------------------------------------------------
 
@@ -185,16 +185,17 @@ class FmmPlan:
 
     # -- far field --------------------------------------------------------------
 
-    def _igrids(self, p):
-        """Signed packed irregular grid of order 2p at every M2L offset.
-
-        Only the last order is kept: a relaxed solve never raises p again.
-        """
-        if self._igrid[0] != p:
-            self._igrid = (None, None)   # free the old grid before building
-            grid = H.signed_grid(H.packed_irregular(self._m2l_offsets, 2 * p))
-            self._igrid = (p, grid)
-        return self._igrid[1]
+    def _grid(self, kind, p):
+        """Signed harmonics at every offset of a kind, regular of order p or
+        irregular of order 2p for M2L, kept at the highest p used so far."""
+        if self._grids.get(kind, (-1,))[0] < p:
+            self._grids.pop(kind, None)   # free the old grid before building
+            offsets = {"m2m": self._m2m_offsets, "m2l": self._m2l_offsets,
+                       "l2l": self._l2l_offsets}[kind]
+            harmonics = (H.packed_irregular(offsets, 2 * p) if kind == "m2l"
+                         else H.packed_regular(offsets, p))
+            self._grids[kind] = (p, H.signed_grid(harmonics))
+        return self._grids[kind][1]
 
     def far_field(self, charges=None, dipoles=None, p=8, want_gradient=False):
         """Expansion-mediated part of the 1/r (and dipole) potential.
@@ -223,8 +224,7 @@ class FmmPlan:
         self._leaf_multipoles(q, dip, p, C, M)
         # smallest offset, so deepest level, first: a parent's multipole is
         # complete before it moves up
-        grids = H.signed_grid(H.packed_regular(self._m2m_offsets, p))
-        _sweep("m2m", self._m2m_groups, grids, p, M, M)
+        _sweep("m2m", self._m2m_groups, self._grid("m2m", p), p, M, M)
         return M
 
     def _leaf_multipoles(self, q, dip, p, C, M):
@@ -277,15 +277,13 @@ class FmmPlan:
 
     def _m2l_sweep(self, M, p, C, size):
         L = np.zeros((self.tgt_tree.n_cells, C, size))
-        _sweep("m2l", self._m2l_groups, self._igrids(p), p, M, L)
-        L *= H.row_sign(p)
+        _sweep("m2l", self._m2l_groups, self._grid("m2l", p), p, M, L)
         return L
 
     def _l2l_sweep(self, L, p):
         # largest offset, so shallowest level, first: a parent's local
         # expansion is complete before it moves down
-        grids = H.signed_grid(H.packed_regular(self._l2l_offsets, p))
-        _sweep("l2l", self._l2l_groups[::-1], grids[::-1], p, L, L)
+        _sweep("l2l", self._l2l_groups[::-1], self._grid("l2l", p)[::-1], p, L, L)
 
     def _l2p(self, L, p, pot, grad):
         """Add the potential (and gradient) of every leaf's local expansion at

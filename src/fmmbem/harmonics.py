@@ -34,11 +34,14 @@ packed arrays:
 
 Every translation is a real ``(p+1)^2 x (p+1)^2`` matrix whose entries are
 signed entries of one packed harmonic grid, summed in pairs, and reflecting
-the offset in an axis only flips signs of its rows and columns.  A
-gradient or a dipole source is a translation by an infinitesimal offset,
-so its operator is the L2L or M2M operator of the offset's n = 1
-harmonics; it acts on coefficients through index and weight tables, each
-output slot a weighted sum of at most two input slots per axis.
+the offset in an axis only flips signs of its rows and columns.  A map
+entry k + 1 reads +G_k, -(k + 1) reads -G_k and 0 is no term (M2L's row
+sign included) at every order, so a lower order's operator is the leading
+block of the maps against the same grid.  A gradient or a dipole source is
+a translation by an infinitesimal offset, so its operator is the L2L or
+M2M operator of the offset's n = 1 harmonics; it acts on coefficients
+through index and weight tables, each output slot a weighted sum of at
+most two input slots per axis.
 
 Functions are batched over the leading axis.  ``translation_maps``,
 ``shift_terms`` and the local slot weights are cached per order; nothing
@@ -117,13 +120,12 @@ def packed_irregular(vecs, p):
 
 
 def signed_grid(grid):
-    """[G, -G, 0] along the last axis: the table the translation maps index."""
+    """[0, G, -G reversed] along the last axis: entry k + 1 is G_k and entry
+    -(k + 1) is -G_k at any grid order, as the translation maps read them."""
     g = np.asarray(grid, dtype=float)
-    size = g.shape[-1]
-    out = np.empty(g.shape[:-1] + (2 * size + 1,))
-    out[..., :size] = g
-    np.negative(g, out=out[..., size:2 * size])
-    out[..., -1] = 0.0
+    out = np.zeros(g.shape[:-1] + (2 * g.shape[-1] + 1,))
+    out[..., 1:g.shape[-1] + 1] = g
+    np.negative(g[..., ::-1], out=out[..., g.shape[-1] + 1:])
     return out
 
 
@@ -138,16 +140,14 @@ def _odd(m):
     return 1 - 2 * (np.abs(m) & 1)
 
 
-# (grid order as a function of p, conjugate, grid index (nu, mu) of the
-# complex entry T[(no, mo), (ni, mi)])
+# (conjugate, complex entry T[(no, mo), (ni, mi)] as (sign, grid n, grid m))
 _TRANSLATIONS = {
     # M_n^m = sum_jk R_{n-j}^{m-k}(d) M_j^k, d = child - parent
-    "m2m": (lambda p: p, False, lambda no, mo, ni, mi: (no - ni, mo - mi)),
+    "m2m": (False, lambda no, mo, ni, mi: (1, no - ni, mo - mi)),
     # L_n^m = sum_jk R_{j-n}^{k-m}(d) L_j^k, d = child - parent
-    "l2l": (lambda p: p, False, lambda no, mo, ni, mi: (ni - no, mi - mo)),
-    # L_j^k = (-1)^j sum_nm conj(I_{n+j}^{m+k}(d)) M_n^m, d = target - source;
-    # the row sign (-1)^j is left to the caller (see row_sign)
-    "m2l": (lambda p: 2 * p, True, lambda no, mo, ni, mi: (ni + no, mi + mo)),
+    "l2l": (False, lambda no, mo, ni, mi: (1, ni - no, mi - mo)),
+    # L_j^k = (-1)^j sum_nm conj(I_{n+j}^{m+k}(d)) M_n^m, d = target - source
+    "m2l": (True, lambda no, mo, ni, mi: (_odd(no), ni + no, mi + mo)),
 }
 
 # (output, input) slot pairs per row block of _build_maps: its integer
@@ -155,7 +155,7 @@ _TRANSLATIONS = {
 MAP_BLOCK = 16384
 
 # kind -> (p, maps) of the highest order built so far: every lower order is
-# a slice of it
+# its leading block
 _HIGHEST_MAPS = {}
 
 
@@ -163,29 +163,18 @@ _HIGHEST_MAPS = {}
 def translation_maps(kind, p):
     """Index maps of a packed translation operator into a signed grid.
 
-    With ``grid`` the packed harmonics of the offset (regular of order p for
-    'm2m' and 'l2l', irregular of order 2p for 'm2l') and G = signed_grid(grid),
-    the operator is ``G[map1] + G[map2]`` (:func:`assemble`), applied as
-    ``coeffs_new = coeffs_old @ T.T``.  For 'm2l' the rows still lack
-    :func:`row_sign`.
-
-    An entry depends on its (output, input) slot pair alone, so the maps of
-    order p are the leading block of those of any higher order, with the
-    offsets of -G and of the zero moved to the smaller grid.
+    With G = signed_grid(grid), grid the packed harmonics of the offset
+    (regular of order p or more for 'm2m' and 'l2l', irregular of order 2p
+    or more for 'm2l'), the operator is ``G[map1] + G[map2]``
+    (:func:`assemble`), applied as ``coeffs_new = coeffs_old @ T.T``.  An
+    entry depends on its (output, input) slot pair alone, so the maps of
+    order p are the leading block, copied contiguous, of any higher order's.
     """
     top, maps = _HIGHEST_MAPS.get(kind, (-1, None))
     if top < p:
         top, maps = _HIGHEST_MAPS[kind] = (p, _build_maps(kind, p))
-    if top == p:
-        return maps
-    q_of = _TRANSLATIONS[kind][0]
-    size, size_top, S = num_coeffs(q_of(p)), num_coeffs(q_of(top)), num_coeffs(p)
-    out = []
-    for m in maps:
-        block = m[:S, :S]
-        out.append(np.where(block < size_top, block,
-                            np.where(block < 2 * size_top, block - size_top + size, 2 * size)))
-    return tuple(out)
+    S = num_coeffs(p)
+    return tuple(np.ascontiguousarray(m[:S, :S]) for m in maps)
 
 
 def _build_maps(kind, p):
@@ -197,8 +186,7 @@ def _build_maps(kind, p):
     entry of the term is g1 G[re_idx] + i g_im G[im_idx].  Output rows go in
     blocks of MAP_BLOCK entries, so that no temporary is S x S.
     """
-    q_of, conj, grid_nm = _TRANSLATIONS[kind]
-    size_q = num_coeffs(q_of(p))
+    conj, entry = _TRANSLATIONS[kind]
     n, m = _slots(p)
     maps = np.empty((2, len(n), len(n)), dtype=np.intp)
     step = max(1, MAP_BLOCK // len(n))
@@ -216,7 +204,7 @@ def _build_maps(kind, p):
             # u = o_w w_i, where -i (c + i d) = d - i c
             u_re = np.where(o_neg, w_im, w_re)
             u_im = np.where(o_neg, -w_re, w_im)
-            nu, mu = grid_nm(n_o, o_mu, n, sgn * np.abs(m))
+            row_sign, nu, mu = entry(n_o, o_mu, n, sgn * np.abs(m))
             # an invalid term gets sign 0, whatever its index
             valid = (nu >= 0) & (np.abs(mu) <= nu) & present
             g1 = np.where(mu < 0, _odd(mu), 1)
@@ -225,10 +213,9 @@ def _build_maps(kind, p):
                 g_im = -g_im
             real_u = u_re != 0
             # Re(u g) is u g1 G[re_idx] for real u, -Im(u) g_im G[im_idx] otherwise
-            sign = np.where(real_u, u_re * g1, -u_im * g_im) * valid
+            sign = np.where(real_u, u_re * g1, -u_im * g_im) * valid * row_sign
             index = flat_index(nu, np.where(real_u, 1, -1) * np.abs(mu))
-            maps[k, rows] = np.where(sign > 0, index,
-                                     np.where(sign < 0, index + size_q, 2 * size_q))
+            maps[k, rows] = sign * (index + 1)
     return tuple(maps)
 
 
@@ -237,12 +224,6 @@ def assemble(grid_row, maps):
     T = grid_row[maps[0]]
     T += grid_row[maps[1]]
     return T
-
-
-def row_sign(p):
-    """(-1)^n per packed slot: the row sign M2L leaves out of its maps."""
-    n, _ = _slots(p)
-    return (-1.0) ** n
 
 
 def reflection_signs(p):
@@ -292,7 +273,7 @@ def shift_terms(kind, p):
     # only the n = 1 slots of the grids are nonzero, so only the entries
     # whose maps point at one of them can be
     hit = np.zeros(2 * size + 1, dtype=bool)
-    hit[ones] = hit[ones + size] = True
+    hit[ones + 1] = hit[-(ones + 1)] = True
     rows, cols = np.nonzero(hit[maps[0]] | hit[maps[1]])
     # the entries of axis a, as assemble sums them; 'local' stacks the axes
     # as row blocks (3S x S), 'dipole' as column blocks (S x 3S)

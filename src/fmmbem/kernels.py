@@ -19,6 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 FOUR_PI = 4.0 * np.pi
+# Targets per block of direct_sum
+DIRECT_SUM_CHUNK = 2048
 
 
 class KernelKind(enum.Enum):
@@ -291,13 +293,13 @@ def kernel_sum(kind, channel_sum, src_pos, weights, targets, normals=None):
     return u
 
 
-def direct_sum(kind, src_pos, weights, targets, normals=None, chunk=2048):
+def direct_sum(kind, src_pos, weights, targets, normals=None):
     """Direct O(N_t * N_s) kernel sum of the pointwise kernels above.
 
     weights: (Ns,) scalar charges for Laplace kernels, (Ns, 3) strengths for
     Stokes kernels.  normals: (Ns, 3), required for double-layer/stresslet.
     Returns (Nt,) potentials or (Nt, 3) velocities.  Targets go in blocks of
-    chunk; a target that coincides with a source raises ValueError.
+    DIRECT_SUM_CHUNK; a target that coincides with a source raises ValueError.
     """
     kind = KernelKind(kind)
     _check_normals(kind, normals)
@@ -310,8 +312,8 @@ def direct_sum(kind, src_pos, weights, targets, normals=None, chunk=2048):
               KernelKind.STRESSLET: stresslet_contracted}[kind]
     args = (src[None], np.asarray(normals, dtype=float)) if kind.needs_normals else (src[None],)
     out = np.zeros(len(tgt)) if kind.scalar else np.zeros((len(tgt), 3))
-    for lo in range(0, len(tgt), chunk):
-        t = tgt[lo:lo + chunk, None]
+    for lo in range(0, len(tgt), DIRECT_SUM_CHUNK):
+        t = tgt[lo:lo + DIRECT_SUM_CHUNK, None]
         try:
             k = kernel(t, *args)
         except ValueError:
@@ -320,5 +322,5 @@ def direct_sum(kind, src_pos, weights, targets, normals=None, chunk=2048):
                 raise
             ti, si = hits[0]
             raise ValueError(f"coincident pair: target {lo + ti}, source {si}") from None
-        out[lo:lo + chunk] = k @ w if kind.scalar else np.einsum("tsij,sj->ti", k, w)
+        out[lo:lo + len(t)] = k @ w if kind.scalar else np.einsum("tsij,sj->ti", k, w)
     return out

@@ -37,6 +37,17 @@ class SolveResult:
         return len(self.orders)
 
 
+def check_inputs(tol, p_initial, p_min, max_iter):
+    """Raise ValueError naming the bad value unless gmres accepts these inputs."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if not 0 <= p_min <= p_initial:
+        raise ValueError(f"need 0 <= p_min <= p_initial, got p_min={p_min}, "
+                         f"p_initial={p_initial}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def gmres(apply_fn, b, tol=1e-5, p_initial=12, p_min=1, max_iter=100):
     """Unrestarted GMRES on y = apply_fn(x, p) with a per-iteration order p.
 
@@ -47,13 +58,7 @@ def gmres(apply_fn, b, tol=1e-5, p_initial=12, p_min=1, max_iter=100):
     Arnoldi with Givens rotations; no restarting, so max_iter basis vectors
     are kept at most.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    if not 0 <= p_min <= p_initial:
-        raise ValueError(f"need 0 <= p_min <= p_initial, got p_min={p_min}, "
-                         f"p_initial={p_initial}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    check_inputs(tol, p_initial, p_min, max_iter)
     b = np.asarray(b, dtype=float)
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:

@@ -107,11 +107,20 @@ def full_terms(n, m):
     return (flat_index(n, mu), flat_index(n, -mu)), (w1, w2)
 
 
+# (conjugate, the complex entry T[(no, mo), (ni, mi)] as (sign, grid n,
+# grid m)), from the identities of fmmbem.harmonics' docstring
+TRANSLATIONS = {
+    "m2m": (False, lambda no, mo, ni, mi: (1, no - ni, mo - mi)),
+    "l2l": (False, lambda no, mo, ni, mi: (1, ni - no, mi - mo)),
+    "m2l": (True, lambda no, mo, ni, mi: ((-1) ** no, ni + no, mi + mo)),
+}
+
+
 def translation_maps(kind, p):
     """The index maps of :func:`fmmbem.harmonics.translation_maps`, derived
-    from the complex weights of the full coefficients."""
-    q_of, conj, grid_nm = H._TRANSLATIONS[kind]
-    size_q = num_coeffs(q_of(p))
+    from the complex weights of the full coefficients: k + 1 for +G_k,
+    -(k + 1) for -G_k and 0 for no term."""
+    conj, entry = TRANSLATIONS[kind]
     n_o, m_o = H._slots(p)
     o_mu = np.abs(m_o)[:, None]
     o_w = np.where(m_o < 0, -1j, 1.0)[:, None]   # P_r = Re(o_w c_(n, |m|))
@@ -123,7 +132,7 @@ def translation_maps(kind, p):
         _, (w1, w2) = full_terms(n_i, full_m)
         w_i = np.where(m_i < 0, w2, w1)
         present = (sgn > 0) | (m_i != 0)
-        nu, mu = grid_nm(n_o[:, None], o_mu, n_i[None, :], full_m[None, :])
+        row_sign, nu, mu = entry(n_o[:, None], o_mu, n_i[None, :], full_m[None, :])
         valid = (nu >= 0) & (np.abs(mu) <= nu) & present[None, :]
         # grid entry g = g1 G[re_idx] + i g_im G[im_idx]
         (re_idx, im_idx), (g1, g2) = full_terms(np.where(valid, nu, 0),
@@ -132,10 +141,9 @@ def translation_maps(kind, p):
         u = o_w * w_i[None, :]                   # a unit: +-1 or +-i
         real_u = u.real != 0.0
         # Re(u g) is u g1 G[re_idx] for real u, -Im(u) g_im G[im_idx] otherwise
-        sign = np.where(real_u, u.real * g1, -u.imag * g_im) * valid
+        sign = np.where(real_u, u.real * g1, -u.imag * g_im) * valid * row_sign
         index = np.where(real_u, re_idx, im_idx)
-        maps.append(np.where(sign > 0, index,
-                             np.where(sign < 0, index + size_q, 2 * size_q)).astype(np.intp))
+        maps.append((sign * (index + 1)).astype(np.intp))
     return tuple(maps)
 
 
@@ -253,8 +261,7 @@ def translation_matrix(kind, d, p):
         grid = H.signed_grid(H.packed_irregular(d, 2 * p)[0])
     else:
         grid = H.signed_grid(H.packed_regular(d, p)[0])
-    T = H.assemble(grid, H.translation_maps(kind, p))
-    return H.row_sign(p)[:, None] * T if kind == "m2l" else T
+    return H.assemble(grid, H.translation_maps(kind, p))
 
 
 def particle_to_multipole(rel_pos, charges, p, dipoles=None):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fmmbem import mesh as M
+from fmmbem import study
 from fmmbem.cli import main
 
 
@@ -50,6 +51,35 @@ def test_solve_command_exits_1_when_not_converged(tmp_path):
     rec = json.loads(rep_path.read_text())["records"][0]
     assert rec["converged"] is False
     assert rec["iterations"] == 1
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["solve", "--problem", "stokes", "--mesh", "s.msh", "--p", "8", "--p-min", "12"],
+     "p_min=12"),
+    (["solve", "--problem", "stokes", "--mesh", "s.msh", "--tol", "-1"], "got -1.0"),
+    (["solve", "--problem", "stokes", "--mesh", "s.msh", "--max-iters", "0"], "got 0"),
+    (["study", "relaxation", "--problem", "laplace1", "--level", "2", "--p", "8",
+      "--p-min", "12"], "p_min=12"),
+    (["study", "convergence", "--problem", "laplace1", "--levels", "2", "3", "4",
+      "--tol", "nan"], "got nan"),
+    (["study", "convergence", "--problem", "laplace1", "--levels", "2", "3", "4",
+      "--p", "0"], "p_initial=0"),
+])
+def test_bad_solver_input_exits_2_before_building(tmp_path, monkeypatch, capsys, argv, bad):
+    """Input that gmres rejects stops a solve or a solving study with exit
+    status 2 and a message naming the bad value, before any mesh is read or
+    operator built, and writes no report."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("read or built a problem from bad solver input")
+
+    monkeypatch.setattr(M, "read_mesh", refuse)
+    monkeypatch.setattr(study, "setup_problem", refuse)
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as stop:
+        main(argv + ["--output", str(out)])
+    assert stop.value.code == 2
+    assert bad in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_study_command(tmp_path):

@@ -169,7 +169,8 @@ def test_error_decreases_with_p():
 
 
 def test_error_tracks_two_to_minus_p():
-    """The p = ceil(-log2 eps) rule assumes error ~ 2^-p at theta = 0.5."""
+    """The p = ceil(-log2 eps) rule assumes that the error stays below 2^-p
+    at theta = 0.5."""
     pos, q = _random_sources(4000, 4)
     tgt = np.random.default_rng(31).uniform(0.0, 1.0, size=(300, 3))
     ref = direct_sum(KernelKind.LAPLACE_SINGLE, pos, q, tgt)
@@ -250,6 +251,21 @@ def test_plan_reuse_across_orders():
     e_lo = _rel_l2(evaluate(KernelKind.LAPLACE_SINGLE, pos, q, tgt, p=3, plan=plan), ref)
     e_hi = _rel_l2(evaluate(KernelKind.LAPLACE_SINGLE, pos, q, tgt, p=12, plan=plan), ref)
     assert e_hi < e_lo
+
+
+def test_plan_reapplied_at_any_order_equals_fresh_plan():
+    """One plan applied at p = 12, 3, 12, 18, 5 in turn gives at each order
+    bitwise the far field of a fresh plan: the grids it keeps serve every
+    lower order and grow when p rises again."""
+    plan = _sphere_plan()
+    rng = np.random.default_rng(14)
+    q = rng.uniform(-1.0, 1.0, size=(2, len(plan.src_tree.points)))
+    dip = rng.normal(size=(2, len(plan.src_tree.points), 3))
+    for p in (12, 3, 12, 18, 5):
+        pot, grad = plan.far_field(charges=q, dipoles=dip, p=p, want_gradient=True)
+        ref_pot, ref_grad = _sphere_plan().far_field(charges=q, dipoles=dip, p=p,
+                                                     want_gradient=True)
+        assert np.array_equal(pot, ref_pot) and np.array_equal(grad, ref_grad), p
 
 
 def test_error_bound_requires_separation():

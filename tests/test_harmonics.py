@@ -298,3 +298,19 @@ def test_translation_maps_equal_complex_derivation(kind):
             for m, r in zip(maps, ref):
                 assert m.dtype == r.dtype
                 np.testing.assert_array_equal(m, r)
+
+
+@pytest.mark.parametrize("kind", ["m2m", "l2l", "m2l"])
+def test_lower_order_operator_reads_any_higher_grid(kind):
+    """For every q < p <= 18, the order-q operator assembled against the
+    order-p grid is bitwise the one assembled against its own order-q grid."""
+    d = np.array([2.2, 1.0, 3.2]) if kind == "m2l" else np.array([0.3, 0.2, 0.25])
+    if kind == "m2l":
+        grids = [H.signed_grid(H.packed_irregular(d, 2 * p)[0]) for p in range(19)]
+    else:
+        grids = [H.signed_grid(H.packed_regular(d, p)[0]) for p in range(19)]
+    for q in range(18):
+        maps = H.translation_maps(kind, q)
+        own = H.assemble(grids[q], maps)
+        for p in range(q + 1, 19):
+            assert np.array_equal(H.assemble(grids[p], maps), own), (q, p)

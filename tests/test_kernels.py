@@ -82,12 +82,14 @@ def test_direct_sum_matches_loop(kind):
         np.testing.assert_allclose(out[t], acc, rtol=1e-12, atol=1e-14)
 
 
-def test_direct_sum_chunking_invariant():
+def test_direct_sum_chunking_invariant(monkeypatch):
     src = RNG.uniform(-1, 1, size=(40, 3))
     tgt = RNG.uniform(2, 3, size=(33, 3))
     q = RNG.uniform(-1, 1, size=40)
-    a = K.direct_sum(K.KernelKind.LAPLACE_SINGLE, src, q, tgt, chunk=7)
-    b = K.direct_sum(K.KernelKind.LAPLACE_SINGLE, src, q, tgt, chunk=1000)
+    monkeypatch.setattr(K, "DIRECT_SUM_CHUNK", 7)
+    a = K.direct_sum(K.KernelKind.LAPLACE_SINGLE, src, q, tgt)
+    monkeypatch.setattr(K, "DIRECT_SUM_CHUNK", 1000)
+    b = K.direct_sum(K.KernelKind.LAPLACE_SINGLE, src, q, tgt)
     np.testing.assert_allclose(a, b, rtol=1e-15)
 
 
