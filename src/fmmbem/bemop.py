@@ -73,20 +73,27 @@ class Formulation(enum.Enum):
     STOKES = "stokes"
 
 
+def check_parameters(theta, n_crit, mu):
+    """Raise ValueError naming the bad value unless :class:`BemOperator`
+    accepts these tree and fluid parameters."""
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must be in (0, 1), got {theta}")
+    if n_crit < 1:
+        raise ValueError(f"n_crit must be >= 1, got {n_crit}")
+    if not 0.0 < mu < np.inf:
+        raise ValueError(f"mu must be finite and > 0, got {mu}")
+
+
 class BemOperator:
     """System operator and right-hand-side assembly for one mesh.
 
     theta, n_crit control the tree evaluation; mu is the Stokes viscosity.
-    The mesh must pass check_closed and check_outward.
+    They must pass check_parameters, and the mesh check_closed and
+    check_outward.
     """
 
     def __init__(self, mesh, formulation, theta=0.5, n_crit=126, mu=1e-3):
-        if not 0.0 < theta < 1.0:
-            raise ValueError(f"theta must be in (0, 1), got {theta}")
-        if n_crit < 1:
-            raise ValueError(f"n_crit must be >= 1, got {n_crit}")
-        if not 0.0 < mu < np.inf:
-            raise ValueError(f"mu must be finite and > 0, got {mu}")
+        check_parameters(theta, n_crit, mu)
         if not check_closed(mesh):
             raise ValueError("mesh fails check_closed: some edge is not shared by exactly "
                              "two triangles, once in each direction")

@@ -6,7 +6,7 @@ import resource
 import sys
 
 from . import mesh as meshes
-from . import solver, study
+from . import bemop, solver, study
 
 
 def _add_mesh_parser(sub):
@@ -150,6 +150,18 @@ def main(argv=None):
                                 getattr(args, "max_iters", solve["max_iter"].default))
         except ValueError as exc:
             parser.error(str(exc))
+    if hasattr(args, "theta"):
+        # a solve or a study: reject tree and fluid parameters that the
+        # operator would, each n_crit candidate included, before anything is
+        # read or built
+        op = inspect.signature(bemop.BemOperator).parameters
+        mu = getattr(args, "mu", op["mu"].default)
+        for n_crit in getattr(args, "ncrit_candidates",
+                              [getattr(args, "ncrit", op["n_crit"].default)]):
+            try:
+                bemop.check_parameters(args.theta, n_crit, mu)
+            except ValueError as exc:
+                parser.error(str(exc))
     if args.command == "solve":
         return _run_solve(args)
     if args.command == "mesh":

@@ -9,12 +9,19 @@ The harmonic machinery works on the bare 1/r kernel with monopole and dipole
 sources, for C channels at once; :func:`fmmbem.kernels.kernel_sum` reduces
 every kernel to such channels and recombines their values and gradients.
 
+M2M, M2L and L2L are one sweep over offset groups: every axis reflection
+of a group's offset shares one operator, so a group's cell pairs, all
+reflections stacked, go through one GEMM per block of rows.  P2P runs per
+target leaf on its slice of the target tree's sorted order, so each leaf
+writes its sums into place, and one permutation per call puts them back in
+the callers' order.
+
 One apply holds its expansions, the multipoles only until M2L has read
 them, and beyond them one block of temporaries at a time: in P2M and L2P
 the packed harmonics of one block of bodies (at most BLOCK_BYTES) and the
 field rows of one leaf, in each translation sweep the coefficients of one
-block of a group's cells, and in P2P the at most two (Nt, Ns) work arrays
-of one :func:`fmmbem.kernels.laplace_sum`.
+block of a group's cells (at most STACK_BYTES), and in P2P the at most two
+(Nt, Ns) work arrays of one :func:`fmmbem.kernels.laplace_sum`.
 """
 
 import functools
@@ -35,6 +42,10 @@ CELL_RADIUS_FACTOR = 1.0
 # Bytes of packed harmonics per block of bodies in P2M and L2P: 1 MiB is
 # 363 bodies at p = 18 and 3640 at p = 5, and larger blocks run no faster.
 BLOCK_BYTES = 2 ** 20
+
+# Bytes of gathered coefficients per GEMM of a translation sweep: 256 KiB
+# takes all reflections of most groups at once and keeps peak RSS flat.
+STACK_BYTES = 2 ** 18
 
 
 def dual_traversal(src_tree, tgt_tree, theta):
@@ -81,24 +92,30 @@ def _offset_groups(pairs, offsets, quantum):
     Offsets are keyed on a lattice of spacing quantum, exact for the cells
     of one root cube, and mirrored into the positive octant: one operator
     serves all eight axis reflections of an offset.  Returns the mirrored
-    offsets, smallest first, and per offset its members (source cells,
-    destination cells, flip), flip having bit a set where the offset is
-    negative on axis a; pairs keep their order within a member.
+    offsets, smallest first, and per offset its pairs as (source cells,
+    destination cells, flips, bounds), flip having bit a set where the
+    pair's offset is negative on axis a.  A pair's rank is the number of
+    pairs of its group with the same destination and a smaller flip; the
+    pairs go by rank, then by destination, and bounds holds the first row
+    of each rank and the end, so that each rank's destinations differ.
     """
     keys = np.round(offsets / quantum).astype(np.int64)
     flips = (keys < 0) @ np.array([1, 2, 4])
     mirrored = np.abs(keys)
-    # by mirrored offset (x first), then flip; lexsort is stable
-    order = np.lexsort((flips, mirrored[:, 2], mirrored[:, 1], mirrored[:, 0]))
-    step = np.diff(np.column_stack([flips, mirrored])[order], axis=0, prepend=-1) != 0
-    new_offset = step[:, 1:].any(axis=1)
-    starts = np.flatnonzero(step.any(axis=1))
+    # by mirrored offset (x first), then destination, then flip
+    order = np.lexsort((flips, pairs[:, 1], mirrored[:, 2], mirrored[:, 1], mirrored[:, 0]))
+    new_offset = np.diff(mirrored[order], axis=0, prepend=-1).any(axis=1)
+    dest = pairs[order, 1]
+    row = np.arange(len(order))
+    new_dest = new_offset | (np.diff(dest, prepend=-1) != 0)
+    rank = row - np.maximum.accumulate(np.where(new_dest, row, 0))
+    by_rank = np.lexsort((dest, rank, np.cumsum(new_offset)))
+    order, rank = order[by_rank], rank[by_rank]
+    starts = np.flatnonzero(new_offset)
     groups = []
-    for lo, hi in zip(starts, np.append(starts[1:], len(order))):
-        if new_offset[lo]:
-            groups.append([])
-        members = pairs[order[lo:hi]]
-        groups[-1].append((members[:, 0], members[:, 1], flips[order[lo]]))
+    for rows, ranks in zip(np.split(order, starts[1:]), np.split(rank, starts[1:])):
+        bounds = np.flatnonzero(np.diff(ranks, prepend=-1, append=-1)).tolist()
+        groups.append((pairs[rows, 0], pairs[rows, 1], flips[rows], bounds))
     return mirrored[order[new_offset]] * quantum, groups
 
 
@@ -110,26 +127,32 @@ def _child_parent(tree):
 
 
 def _sweep(kind, groups, grids, p, src, dst):
-    """dst[b] += diag(s) T diag(s) src[a] for every member (a, b, flip) of
-    every group, in the order of groups.
+    """dst[b] += diag(s) T diag(s) src[a] for every pair (a, b, flip) of every
+    group, in the order of groups.
 
     T is the kind's operator built from the group's signed grid row, and s
-    the reflection signs of flip (see harmonics.reflection_signs).  The
-    destination cells of one member must not repeat.  A member's cells go
-    in blocks of at most BLOCK_BYTES of coefficients, one GEMM each.
+    the reflection signs of flip (see harmonics.reflection_signs).  All
+    reflections of a group share T, so its rows go in blocks of at most
+    STACK_BYTES of coefficients, one GEMM each, and each rank of a block is
+    added to dst with one scatter.
     """
     maps = H.translation_maps(kind, p)
     signs = H.reflection_signs(p)
     _, C, size = src.shape
-    step = max(1, BLOCK_BYTES // (8 * C * size))
-    for grid, members in zip(grids, groups):
+    step = max(1, STACK_BYTES // (8 * C * size))
+    for grid, (a, b, flip, bounds) in zip(grids, groups):
         T = H.assemble(grid, maps)
-        for a, b, flip in members:
-            for lo in range(0, len(a), step):
-                x = src[a[lo:lo + step]] * signs[flip]
-                n = len(x)
-                dst[b[lo:lo + step]] += (
-                    (x.reshape(n * C, size) @ T.T).reshape(n, C, size) * signs[flip])
+        for lo in range(0, len(a), step):
+            hi = min(lo + step, len(a))
+            s = np.take(signs, flip[lo:hi], axis=0)[:, None]
+            x = np.take(src, a[lo:hi], axis=0)
+            x *= s
+            y = (x.reshape(-1, size) @ T.T).reshape(x.shape)
+            y *= s
+            for r0, r1 in zip(bounds, bounds[1:]):
+                r0, r1 = max(r0, lo), min(r1, hi)
+                if r0 < r1:
+                    dst[b[r0:r1]] += y[r0 - lo:r1 - lo]
 
 
 class FmmPlan:
@@ -152,8 +175,9 @@ class FmmPlan:
         self._m2m_offsets, self._m2m_groups = _offset_groups(pairs, offsets, quantum)
         pairs, offsets = _child_parent(tgt)
         self._l2l_offsets, self._l2l_groups = _offset_groups(pairs[:, ::-1], offsets, quantum)
-        # P2P per target leaf: its bodies, the sorted bodies of all its source
-        # leaves, and the density-independent part of their direct sum
+        # P2P per target leaf: its slice (start, end) of the target tree's
+        # sorted order, the sorted bodies of all its source leaves, and the
+        # density-independent part of their direct sum
         s, t = self.p2p_pairs[np.lexsort(self.p2p_pairs.T)].T
         count = src.body_count[s]
         row = np.cumsum(count) - count                 # first source row of each pair
@@ -161,11 +185,11 @@ class FmmPlan:
         leaves, first = np.unique(t, return_index=True)
         self._p2p = []
         for leaf, sources in zip(leaves, np.split(src.perm[body], row[first[1:]])):
-            start = tgt.body_start[leaf]
-            targets = tgt.perm[start:start + tgt.body_count[leaf]]
+            start = int(tgt.body_start[leaf])
+            end = start + int(tgt.body_count[leaf])
             sources = np.sort(sources)
-            self._p2p.append((targets, sources,
-                              pair_geometry(tgt.points[targets], src.points[sources])))
+            self._p2p.append((start, end, sources,
+                              pair_geometry(tgt.sorted_points[start:end], src.points[sources])))
         self._grids = {}   # kind -> (p, signed grid) of the highest order used
 
     # -- structural bookkeeping -------------------------------------------------
@@ -312,27 +336,36 @@ class FmmPlan:
 
     def p2p_items(self):
         """(target body indices, source body indices) per P2P target leaf."""
-        return ((targets, sources) for targets, sources, _ in self._p2p)
+        perm = self.tgt_tree.perm
+        return ((perm[start:end], sources) for start, end, sources, _ in self._p2p)
 
     def near_field(self, charges=None, dipoles=None, want_gradient=False):
         """Direct 1/r (and dipole) sums over the P2P pairs.
 
         Same arguments and return shapes as :meth:`far_field`.  Coincident
         source/target pairs contribute zero (the BEM layer replaces self
-        interactions with singular integrals).
+        interactions with singular integrals).  Each target leaf writes its
+        slice of the target tree's sorted order, and the sums are put back in
+        the callers' order once at the end; targets whose leaf has no P2P
+        pair get zeros.
         """
         C = len(charges if charges is not None else dipoles)
-        nt = len(self.tgt_tree.points)
+        tgt = self.tgt_tree
+        nt = len(tgt.points)
         pot = np.zeros((C, nt))
         grad = np.zeros((C, nt, 3)) if want_gradient else None
-        for tidx, sidx, geo in self._p2p:
-            v, g = laplace_sum(geo, self.src_tree.points[sidx],
-                               None if charges is None else charges[:, sidx],
-                               None if dipoles is None else dipoles[:, sidx], want_gradient)
-            pot[:, tidx] += v
+        points = self.src_tree.points
+        for start, end, sidx, geo in self._p2p:
+            v, g = laplace_sum(geo, np.take(points, sidx, axis=0),
+                               None if charges is None else np.take(charges, sidx, axis=1),
+                               None if dipoles is None else np.take(dipoles, sidx, axis=1),
+                               want_gradient)
+            pot[:, start:end] = v
             if want_gradient:
-                grad[:, tidx] += g
-        return pot, grad
+                grad[:, start:end] = g
+        back = np.empty_like(tgt.perm)      # sorted position of each target
+        back[tgt.perm] = np.arange(nt)
+        return pot[:, back], None if grad is None else grad[:, back]
 
     def channel_sum(self, charges, dipoles, want_gradient, p):
         """The whole 1/r sum at order p: :meth:`far_field` plus :meth:`near_field`."""

@@ -127,11 +127,11 @@ class PairGeometry(NamedTuple):
     All coordinates are relative to ``origin``, the mean of the targets:
     centring keeps the sum translation invariant and the cancellation in the
     expanded form of d^2 small.  ``xa`` holds the augmented centred targets
-    [x, 1, |x|^2], so that d^2 = xa @ [-2y, |y|^2, 1].T.  The expanded form
-    loses relative accuracy for tiny separations, so the pairs within a
-    cutoff, at flat indices ``close`` of the (Nt, Ns) pair matrix, carry
-    their d^2 from differences in ``close_d2``, infinite where target and
-    source coincide.
+    [-2x, 1, |x|^2] as rows, so that d^2 = xa @ ya with ya the augmented
+    centred sources [y; |y|^2; 1] as columns.  The expanded form loses
+    relative accuracy for tiny separations, so the pairs within a cutoff, at
+    flat indices ``close`` of the (Nt, Ns) pair matrix, carry their d^2 from
+    differences in ``close_d2``, infinite where target and source coincide.
     """
 
     origin: np.ndarray     # (3,)
@@ -140,29 +140,49 @@ class PairGeometry(NamedTuple):
     close_d2: np.ndarray   # (K,)
 
 
-def _augmented(z, scale, ones_first):
-    """Rows [scale * z, 1, |z|^2] (ones_first) or [scale * z, |z|^2, 1]."""
-    out = np.empty((len(z), 5))
-    np.multiply(z, scale, out=out[:, :3])
-    out[:, 4 if ones_first else 3] = np.einsum("ni,ni->n", z, z)
-    out[:, 3 if ones_first else 4] = 1.0
+def _target_rows(x):
+    """Rows [-2x, 1, |x|^2] of centred targets x (Nt, 3), shape (Nt, 5)."""
+    out = np.empty((len(x), 5))
+    np.multiply(x, -2.0, out=out[:, :3])
+    out[:, 3] = 1.0
+    out[:, 4] = np.einsum("ni,ni->n", x, x)
     return out
+
+
+def _source_columns(sources, origin):
+    """Columns [y; |y|^2; 1] of sources (Ns, 3) centred on origin, shape
+    (5, Ns): coordinate-major, so that every pass runs along the sources.
+    The centred sources are its first three rows."""
+    ya = np.empty((5, len(sources)))
+    y = ya[:3]
+    y[...] = np.asarray(sources, dtype=float).T
+    y -= origin[:, None]
+    # (y0^2 + y2^2) + y1^2: the order of einsum's sum over the rows of a
+    # (N, 3) array, so that a source's |y|^2 rounds as a target's |x|^2
+    norm = np.multiply(y[0], y[0], out=ya[3])
+    norm += y[2] * y[2]
+    norm += y[1] * y[1]
+    ya[4] = 1.0
+    return ya
 
 
 def _geometry(targets, sources):
     """The :class:`PairGeometry` of targets (Nt, 3) against sources (Ns, 3),
-    the centred sources and the (Nt, Ns) squared distances, close pairs patched."""
+    the centred sources (3, Ns) and the (Nt, Ns) squared distances, close
+    pairs patched."""
+    targets = np.asarray(targets, dtype=float)
     origin = np.mean(targets, axis=0)
-    xa = _augmented(np.asarray(targets, dtype=float) - origin, 1.0, ones_first=True)
-    y = np.asarray(sources, dtype=float) - origin
-    ya = _augmented(y, -2.0, ones_first=False)
-    d2 = xa @ ya.T
+    x = targets - origin
+    xa = _target_rows(x)
+    ya = _source_columns(sources, origin)
+    y = ya[:3]
+    d2 = xa @ ya
     # the cutoff uses the largest norms, so it is never tighter than a
     # per-pair one
-    cutoff = 1e-10 * (np.max(xa[:, 4], initial=0.0) + np.max(ya[:, 3], initial=0.0))
+    cutoff = 1e-10 * (np.max(xa[:, 4], initial=0.0) + np.max(ya[3], initial=0.0))
     close = np.flatnonzero(d2 <= cutoff)
-    ti, si = np.divmod(close, len(y))
-    diff = xa[ti, :3] - y[si]
+    ti, si = np.divmod(close, y.shape[1])
+    diff = x[ti] - y[:, si].T
     dc = np.einsum("ki,ki->k", diff, diff)
     dc[dc == 0.0] = np.inf
     np.put(d2, close, dc)
@@ -183,10 +203,10 @@ def laplace_sum(geo, sources, charges=None, dipoles=None, want_gradient=False):
     (C, Nt, 3) gradients at the targets, the latter None unless
     want_gradient.  Coincident pairs contribute exactly zero.
     """
-    y = np.asarray(sources, dtype=float) - geo.origin
-    d2 = geo.xa @ _augmented(y, -2.0, ones_first=False).T
+    ya = _source_columns(sources, geo.origin)
+    d2 = geo.xa @ ya
     np.put(d2, geo.close, geo.close_d2)
-    return _pair_sums(geo, y, d2, charges, dipoles, want_gradient)
+    return _pair_sums(geo, ya[:3], d2, charges, dipoles, want_gradient)
 
 
 def direct_laplace_sum(targets, sources, charges=None, dipoles=None, want_gradient=False):
@@ -196,26 +216,33 @@ def direct_laplace_sum(targets, sources, charges=None, dipoles=None, want_gradie
 
 
 def _pair_sums(geo, y, d2, charges, dipoles, want_gradient):
-    """The sums of :func:`laplace_sum` over sources y centred on geo.origin,
-    d2 their squared distances to the targets; d2 is overwritten.
+    """The sums of :func:`laplace_sum` over sources y (3, Ns) centred on
+    geo.origin, d2 their squared distances to the targets; d2 is overwritten.
 
-    The 1/r^k kernels take turns in one (Nt, Ns) array beside d2's: 1/r^3
-    and 1/r^5 are formed in place once the lower power is no longer needed.
+    Charge potentials alone form 1/r in d2's array.  Otherwise the 1/r^k
+    kernels take turns in one (Nt, Ns) array beside d2's: 1/r^3 and 1/r^5
+    are formed in place once the lower power is no longer needed.
     """
-    x = geo.xa[:, :3]
-    inv2 = np.divide(1.0, d2, out=d2)
-    kern = np.sqrt(inv2)
-    nt, ns = kern.shape
+    nt, ns = d2.shape
 
     def gemm(rows):
         """sum_s rows[..., s] kern[t, s], shape (..., Nt)."""
         return (rows.reshape(-1, ns) @ kern.T).reshape(rows.shape[:-1] + (nt,))
 
+    if not want_gradient and dipoles is None:
+        # charge potentials need 1/r alone, formed in d2's array
+        kern = np.sqrt(d2, out=d2)
+        np.divide(1.0, kern, out=kern)
+        return gemm(charges), None
+    inv2 = np.divide(1.0, d2, out=d2)
+    kern = np.sqrt(inv2)
+    x = -0.5 * geo.xa[:, :3]                     # exact
+
     def separation_sum(rows):
         """sum_s rows[..., s] (x_t - y_s) kern[t, s], shape (..., Nt, 3)."""
         stacked = np.empty((4,) + rows.shape)
         stacked[0] = rows
-        np.multiply(rows, y.T.reshape((3,) + (1,) * (rows.ndim - 1) + (ns,)), out=stacked[1:])
+        np.multiply(rows, y.reshape((3,) + (1,) * (rows.ndim - 1) + (ns,)), out=stacked[1:])
         f = gemm(stacked)
         return f[0][..., None] * x - np.moveaxis(f[1:], 0, -1)
 
@@ -224,16 +251,19 @@ def _pair_sums(geo, y, d2, charges, dipoles, want_gradient):
     grad = np.zeros((C, nt, 3)) if want_gradient else None
     if charges is not None:
         pot += gemm(charges)
-    if not want_gradient and dipoles is None:
-        return pot, grad
     kern *= inv2                                  # 1/r^3
     if charges is not None and want_gradient:
         grad -= separation_sum(charges)
     if dipoles is not None:
-        # d . (x - y) = xh . m with xh = (x, 1) and m = (d, -d . y)
-        m = np.concatenate([np.moveaxis(dipoles, -1, 0),
-                            -np.einsum("csi,si->cs", dipoles, y)[None]])
-        xh = geo.xa[:, :4]
+        # d . (x - y) = xh . m with xh = (x, 1) and m = (d, -d . y), d . y
+        # summed in the order of the source norms
+        m = np.empty((4,) + dipoles.shape[:-1])
+        m[:3] = np.moveaxis(dipoles, -1, 0)
+        dy = np.multiply(m[0], y[0], out=m[3])
+        dy += m[2] * y[2]
+        dy += m[1] * y[1]
+        np.negative(dy, out=dy)
+        xh = np.column_stack([x, geo.xa[:, 3]])
         b = gemm(m)
         pot += np.einsum("kct,tk->ct", b, xh)
         if want_gradient:

@@ -4,18 +4,20 @@ The package builds the tree traversal, the near-pair corrections and the
 interaction counts in whole-array passes: the traversal one tree level at
 a time, the corrections of both kernels of a formulation in one pass over
 one 23-point rule per pair, the counts as per-cell sums pushed down the
-target tree.  These are the forms the tests check them against: the
-traversal one cell pair at a time, the rule sums one kernel at a time,
-each kernel's correction as fine-rule sums minus coarse-rule sums, and the
-counts one pair at a time.
+target tree, the translations of one offset group for all its reflections
+at once.  These are the forms the tests check them against: the traversal
+one cell pair at a time, the rule sums one kernel at a time, each
+kernel's correction as fine-rule sums minus coarse-rule sums, the counts
+one pair at a time, and the translations one reflection at a time.
 """
 
 import math
 
 import numpy as np
 
+from fmmbem import harmonics as H
 from fmmbem import quadrature as Q
-from fmmbem.fmm import CELL_RADIUS_FACTOR
+from fmmbem.fmm import BLOCK_BYTES, CELL_RADIUS_FACTOR
 from fmmbem.kernels import FOUR_PI, KernelKind
 
 
@@ -103,3 +105,22 @@ def interaction_counts(plan):
     for tidx, sidx in plan.p2p_items():
         counts[tidx] += len(sidx)
     return counts
+
+
+def sweep_per_member(kind, groups, grids, p, src, dst):
+    """fmm._sweep one member at a time: per group, the pairs of each flip
+    (whose destination cells differ) in blocks of at most BLOCK_BYTES of
+    coefficients, one gather, GEMM and scatter each."""
+    maps = H.translation_maps(kind, p)
+    signs = H.reflection_signs(p)
+    _, C, size = src.shape
+    step = max(1, BLOCK_BYTES // (8 * C * size))
+    for grid, (a_g, b_g, flip_g, _) in zip(grids, groups):
+        T = H.assemble(grid, maps)
+        for flip in np.unique(flip_g):
+            a, b = a_g[flip_g == flip], b_g[flip_g == flip]
+            for lo in range(0, len(a), step):
+                x = src[a[lo:lo + step]] * signs[flip]
+                n = len(x)
+                dst[b[lo:lo + step]] += (
+                    (x.reshape(n * C, size) @ T.T).reshape(n, C, size) * signs[flip])

@@ -64,16 +64,27 @@ def test_solve_command_exits_1_when_not_converged(tmp_path):
       "--tol", "nan"], "got nan"),
     (["study", "convergence", "--problem", "laplace1", "--levels", "2", "3", "4",
       "--p", "0"], "p_initial=0"),
+    (["solve", "--problem", "stokes", "--mesh", "s.msh", "--theta", "1.5"], "got 1.5"),
+    (["solve", "--problem", "stokes", "--mesh", "s.msh", "--ncrit", "0"], "n_crit must be"),
+    (["solve", "--problem", "stokes", "--mesh", "s.msh", "--mu", "0"], "got 0.0"),
+    (["study", "convergence", "--problem", "laplace1", "--levels", "2", "3", "4",
+      "--theta", "0"], "got 0.0"),
+    (["study", "relaxation", "--problem", "laplace1", "--level", "2",
+      "--ncrit-candidates", "64", "-3"], "got -3"),
+    (["study", "scaling", "--sizes", "200", "--ncrit", "0"], "n_crit must be"),
+    (["study", "scaling", "--sizes", "200", "--theta", "-0.5"], "got -0.5"),
 ])
 def test_bad_solver_input_exits_2_before_building(tmp_path, monkeypatch, capsys, argv, bad):
-    """Input that gmres rejects stops a solve or a solving study with exit
-    status 2 and a message naming the bad value, before any mesh is read or
-    operator built, and writes no report."""
+    """Input that gmres rejects, or tree and fluid parameters (theta, each
+    n_crit candidate, mu) that the operator rejects, stop a solve or a
+    study with exit status 2 and a message naming the bad value, before any
+    mesh is read or tree built, and write no report."""
     def refuse(*args, **kwargs):
-        raise AssertionError("read or built a problem from bad solver input")
+        raise AssertionError("read or built a problem from bad input")
 
     monkeypatch.setattr(M, "read_mesh", refuse)
     monkeypatch.setattr(study, "setup_problem", refuse)
+    monkeypatch.setattr(study, "FmmPlan", refuse)
     out = tmp_path / "report.json"
     with pytest.raises(SystemExit) as stop:
         main(argv + ["--output", str(out)])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import harmonics_reference as HR
 import operator_reference as OR
 from fmmbem import fmm
+from fmmbem import harmonics as H
 from fmmbem import mesh as M
 from fmmbem import quadrature as Q
 from fmmbem.fmm import FmmPlan, dual_traversal, evaluate
@@ -55,9 +56,10 @@ def _child_parent(tree):
 @pytest.mark.parametrize("make_plan", [_sphere_plan, _cloud_plan])
 def test_offset_groups_partition_every_translation(make_plan, monkeypatch):
     """The groups each sweep runs hold every cell pair of its translation
-    once, no destination cell twice within a member, and each member's
-    offset is its group's offset reflected by the member's flip.  M2M runs
-    deepest level first and L2L shallowest first."""
+    once, no destination cell twice within a rank, the pairs of one
+    destination in rising flip from rank to rank, and each pair's offset is
+    its group's offset reflected by the pair's flip.  M2M runs deepest
+    level first and L2L shallowest first."""
     plan = make_plan()
     runs, sweep = {}, fmm._sweep
 
@@ -73,14 +75,19 @@ def test_offset_groups_partition_every_translation(make_plan, monkeypatch):
     expected = {"m2m": (kids, parents), "l2l": (tgt_parents, tgt_kids),
                 "m2l": tuple(plan.m2l_pairs.T)}
     for kind, (a, b) in expected.items():
-        members = [m for group in runs[kind] for m in group]
-        found = [pair for a_m, b_m, _ in members for pair in zip(a_m.tolist(), b_m.tolist())]
+        found = [pair for a_g, b_g, _, _ in runs[kind]
+                 for pair in zip(a_g.tolist(), b_g.tolist())]
         assert len(found) == len(a) and set(found) == set(zip(a.tolist(), b.tolist()))
-        assert all(len(np.unique(b_m)) == len(b_m) for _, b_m, _ in members)
-    m2m_levels = [np.unique(np.concatenate([src.level[a_m] for a_m, _, _ in g]))
-                  for g in runs["m2m"]]
-    l2l_levels = [np.unique(np.concatenate([tgt.level[b_m] for _, b_m, _ in g]))
-                  for g in runs["l2l"]]
+        for _, b_g, flip, bounds in runs[kind]:
+            assert bounds[0] == 0 and bounds[-1] == len(b_g)
+            assert all(len(np.unique(b_g[lo:hi])) == hi - lo
+                       for lo, hi in zip(bounds, bounds[1:]))
+            seen = {}
+            for cell, f in zip(b_g.tolist(), flip.tolist()):
+                assert f > seen.get(cell, -1)
+                seen[cell] = f
+    m2m_levels = [np.unique(src.level[a_g]) for a_g, _, _, _ in runs["m2m"]]
+    l2l_levels = [np.unique(tgt.level[b_g]) for _, b_g, _, _ in runs["l2l"]]
     assert all(len(lv) == 1 for lv in m2m_levels + l2l_levels)
     assert np.all(np.diff(np.concatenate(m2m_levels)) < 0)
     assert np.all(np.diff(np.concatenate(l2l_levels)) > 0)
@@ -89,12 +96,37 @@ def test_offset_groups_partition_every_translation(make_plan, monkeypatch):
               (plan._m2m_offsets, plan._m2m_groups, lambda a, b: src.center[a] - src.center[b]),
               (plan._l2l_offsets, plan._l2l_groups, lambda a, b: tgt.center[b] - tgt.center[a])]
     for offsets, groups, offset_of in stored:
-        for offset, members in zip(offsets, groups):
-            for a_m, b_m, flip in members:
-                sign = np.where([flip & 1, flip & 2, flip & 4], -1.0, 1.0)
-                d = offset_of(a_m, b_m)
-                np.testing.assert_allclose(d, np.broadcast_to(sign * offset, d.shape),
-                                           rtol=0, atol=1e-12)
+        for offset, (a_g, b_g, flip, _) in zip(offsets, groups):
+            sign = np.where(flip[:, None] >> np.arange(3) & 1, -1.0, 1.0)
+            np.testing.assert_allclose(offset_of(a_g, b_g), sign * offset, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [0, 1, 5, 16, 18])
+def test_stacked_sweep_equals_per_member_sweep(p, monkeypatch):
+    """M2M, M2L and L2L with each group's reflections stacked, in GEMMs of
+    at most 5 cells so that groups split into several and blocks cut
+    ranks, give the coefficients of one GEMM per reflection to 1e-15
+    relative (2-norm).  The BLAS rounds a GEMM row differently with the
+    number of rows, so the two differ in the last bits at p = 16 and 18; in
+    the largest entry by up to 1.2e-15 of the largest (L2L, p = 18)."""
+    plan = _sphere_plan()
+    C, size = 2, H.num_coeffs(p)
+    monkeypatch.setattr(fmm, "STACK_BYTES", 5 * 8 * C * size)
+    rng = np.random.default_rng(p)
+    n_src, n_tgt = plan.src_tree.n_cells, plan.tgt_tree.n_cells
+    sweeps = [("m2m", plan._m2m_groups, plan._grid("m2m", p), n_src, None),
+              ("m2l", plan._m2l_groups, plan._grid("m2l", p), n_src, n_tgt),
+              ("l2l", plan._l2l_groups[::-1], plan._grid("l2l", p)[::-1], n_tgt, None)]
+    for kind, groups, grids, n_in, n_out in sweeps:
+        assert max(len(a) for a, _, _, _ in groups) > 5, kind
+        src = rng.normal(size=(n_in, C, size))
+        # M2L adds to existing locals; M2M and L2L sweep one array in place
+        dst = src if n_out is None else rng.normal(size=(n_out, C, size))
+        ref_dst = dst.copy()
+        ref_src = ref_dst if n_out is None else src.copy()
+        fmm._sweep(kind, groups, grids, p, src, dst)
+        OR.sweep_per_member(kind, groups, grids, p, ref_src, ref_dst)
+        assert _rel_l2(dst, ref_dst) <= 1e-15, kind
 
 
 @pytest.mark.parametrize("make_plan", [_sphere_plan, _cloud_plan])
@@ -319,6 +351,32 @@ def test_near_field_coincident_pair_is_zero():
     pot, grad = pot[0], grad[0]
     assert pot[17] == 0.0 and np.all(grad[17] == 0.0)
     assert np.count_nonzero(pot) > 0     # the source is seen by its neighbours
+
+
+def test_target_leaf_without_p2p_pair_gets_zeros():
+    """Targets far from every source, shuffled among near ones, sit in
+    leaves with no P2P pair: their near field is exactly zero, and evaluate
+    still matches direct_sum there."""
+    rng = np.random.default_rng(15)
+    src = rng.uniform(0.0, 1.0, size=(600, 3))
+    far = np.arange(250) % 2 == 1
+    tgt = rng.uniform(0.0, 1.0, size=(250, 3))
+    tgt[far] = 8.0 + 0.1 * tgt[far]
+    plan = FmmPlan(src, tgt, n_crit=20)
+    in_p2p = np.zeros(len(tgt), dtype=bool)
+    for tidx, _ in plan.p2p_items():
+        in_p2p[tidx] = True
+    assert np.array_equal(in_p2p, ~far)
+    q = rng.uniform(-1.0, 1.0, size=(2, 600))
+    dip = rng.uniform(-1.0, 1.0, size=(2, 600, 3))
+    pot, grad = plan.near_field(charges=q, dipoles=dip, want_gradient=True)
+    assert np.all(pot[:, far] == 0.0) and np.all(grad[:, far] == 0.0)
+    assert np.all(pot[:, ~far] != 0.0)
+    ref = direct_sum(KernelKind.LAPLACE_SINGLE, src, q[0], tgt)
+    val = evaluate(KernelKind.LAPLACE_SINGLE, src, q[0], tgt, p=12, plan=plan)
+    # the order rule's 2^-p
+    assert _rel_l2(val[far], ref[far]) <= 2.0 ** -12
+    assert _rel_l2(val, ref) <= 2.0 ** -12
 
 
 def test_near_field_translation_invariant():
