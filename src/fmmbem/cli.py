@@ -1,8 +1,6 @@
 """Command-line front end: mesh generation, solves, and study runs."""
 
 import argparse
-import inspect
-import resource
 import sys
 
 from . import mesh as meshes
@@ -82,30 +80,22 @@ def _run_mesh(args):
         m = meshes.make_scene(args.cells, args.level, seed=args.seed)
     meshes.write_mesh(args.output, m)
     print(f"wrote {m.n_panels} panels ({len(m.vertices)} vertices) to {args.output}")
-
-
-def _peak_rss_mb():
-    """Peak resident set of this process so far, in MiB."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # Linux reports KiB, macOS bytes
-    return peak / (2.0 ** 20 if sys.platform == "darwin" else 1024.0)
+    return 0
 
 
 def _run_solve(args):
+    solver.check_inputs(args.tol, args.p, args.p_min, args.max_iters)
+    bemop.check_parameters(args.theta, args.ncrit, args.mu)
     op, data, _ = study.setup_problem(meshes.read_mesh(args.mesh), args.problem,
                                       theta=args.theta, n_crit=args.ncrit, mu=args.mu)
-    b = op.assemble_rhs(data)
-    res = solver.solve(op, b, eta=args.tol, p_initial=args.p, p_min=args.p_min,
-                       max_iter=args.max_iters)
-    rep = study.StudyReport("solve", params=dict(
-        problem=args.problem, mesh=args.mesh, p=args.p, p_min=args.p_min,
-        tol=args.tol, n_crit=args.ncrit, theta=args.theta))
-    rec = dict(N=op.n_panels, iterations=res.n_iterations, converged=res.converged,
-               residuals=res.residuals, orders=res.orders, peak_rss_mb=_peak_rss_mb())
+    res, rec = study.solve_record(op, op.assemble_rhs(data), eta=args.tol,
+                                  p_initial=args.p, p_min=args.p_min,
+                                  max_iter=args.max_iters)
     if args.problem == "stokes":
         rec["drag"] = list(map(float, op.drag_force(res.x)))
-    rep.records.append(rec)
-    rep.write(args.output)
+    study.StudyReport("solve", records=[rec], params=dict(
+        problem=args.problem, mesh=args.mesh, p=args.p, p_min=args.p_min,
+        tol=args.tol, n_crit=args.ncrit, theta=args.theta)).write(args.output)
     status = "converged" if res.converged else "NOT converged"
     print(f"{status} in {res.n_iterations} iterations; report in {args.output}")
     return 0 if res.converged else 1
@@ -129,6 +119,7 @@ def _run_study(args):
     for k, v in rep.derived.items():
         print(f"{k}: {v}")
     print(f"report in {args.output}")
+    return 0
 
 
 def main(argv=None):
@@ -140,35 +131,14 @@ def main(argv=None):
     _add_solve_parser(sub)
     _add_study_parser(sub)
     args = parser.parse_args(argv)
-    if hasattr(args, "tol"):
-        # a solve or a solving study: reject what gmres would before anything
-        # is read or built; a study solves with solver.solve's p_min and
-        # max_iter unless it sets them
-        solve = inspect.signature(solver.solve).parameters
-        try:
-            solver.check_inputs(args.tol, args.p, getattr(args, "p_min", solve["p_min"].default),
-                                getattr(args, "max_iters", solve["max_iter"].default))
-        except ValueError as exc:
-            parser.error(str(exc))
-    if hasattr(args, "theta"):
-        # a solve or a study: reject tree and fluid parameters that the
-        # operator would, each n_crit candidate included, before anything is
-        # read or built
-        op = inspect.signature(bemop.BemOperator).parameters
-        mu = getattr(args, "mu", op["mu"].default)
-        for n_crit in getattr(args, "ncrit_candidates",
-                              [getattr(args, "ncrit", op["n_crit"].default)]):
-            try:
-                bemop.check_parameters(args.theta, n_crit, mu)
-            except ValueError as exc:
-                parser.error(str(exc))
-    if args.command == "solve":
-        return _run_solve(args)
-    if args.command == "mesh":
-        _run_mesh(args)
-    else:
-        _run_study(args)
-    return 0
+    run = {"mesh": _run_mesh, "solve": _run_solve, "study": _run_study}[args.command]
+    # bad input, a flag or a mesh file, raises ValueError or OSError before
+    # any report is written; it exits 2 with the reason, as a bad flag's
+    # type does, and leaves exit status 1 to a solve that did not converge
+    try:
+        return run(args)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -27,6 +27,8 @@ class Mesh:
         self.triangles = np.asarray(self.triangles, dtype=np.intp)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise ValueError("vertices must be (V, 3)")
+        if not np.all(np.isfinite(self.vertices)):
+            raise ValueError("vertices must be finite; some coordinate is NaN or inf")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must be (P, 3)")
         if self.triangles.min(initial=0) < 0 or self.triangles.max(initial=-1) >= len(self.vertices):

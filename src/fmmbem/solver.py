@@ -56,10 +56,12 @@ def gmres(apply_fn, b, tol=1e-5, p_initial=12, p_min=1, max_iter=100):
     :func:`schedule_p` with eta = tol, from p_initial down to p_min
     (p_min = p_initial is a fixed-order solve).  Modified Gram-Schmidt
     Arnoldi with Givens rotations; no restarting, so max_iter basis vectors
-    are kept at most.
+    are kept at most.  A non-finite b is rejected before the first mat-vec.
     """
     check_inputs(tol, p_initial, p_min, max_iter)
     b = np.asarray(b, dtype=float)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("the right-hand side b holds non-finite values")
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return SolveResult(x=np.zeros_like(b), converged=True)

@@ -3,21 +3,27 @@
 Each study returns a StudyReport holding per-run records plus derived
 quantities (observed order, extrapolated limit, speedup).  Reports write to
 a strict JSON file (an undefined value is null) and a CSV of the records.
+Every solve, that of ``fmmbem solve`` included, goes through
+:func:`solve_record`, whose record holds N, iterations, converged, time,
+residuals, orders and peak_rss_mb; a study adds its own keys to it.
 Timings are wall-clock around the solve loop or the tree evaluation only;
 the relaxation and scaling studies average them over repeated identical
-runs, the convergence study times each solve once.
+runs, the convergence study times each solve once.  Each study checks its
+parameters, defaults included, before it builds a mesh or a tree.
 """
 
 import csv
 import inspect
 import json
+import resource
+import sys
 import time
 
 import numpy as np
 
 from . import mesh as meshes
 from . import solver
-from .bemop import BemOperator, Formulation
+from .bemop import BemOperator, Formulation, check_parameters
 from .fmm import FmmPlan, evaluate
 from .kernels import KernelKind
 
@@ -54,10 +60,14 @@ class StudyReport:
         self.derived = dict(derived or {})
 
     def write(self, path):
-        """One JSON object with the kind, params, records and derived values."""
+        """One JSON object with the kind, params, records and derived values.
+
+        A non-finite value raises ValueError before the file is opened.
+        """
+        text = json.dumps(dict(kind=self.kind, params=self.params, records=self.records,
+                               derived=self.derived), indent=1, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(dict(kind=self.kind, params=self.params, records=self.records,
-                           derived=self.derived), fh, indent=1, allow_nan=False)
+            fh.write(text)
 
     def write_csv(self, path):
         """One CSV row per record, columns from the union of record keys.
@@ -124,6 +134,27 @@ def _middle_triples(values, counts):
     return orders
 
 
+def _peak_rss_mb():
+    """Peak resident set of this process so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes
+    return peak / (2.0 ** 20 if sys.platform == "darwin" else 1024.0)
+
+
+def solve_record(op, b, **solve_options):
+    """(result, record) of one timed :func:`solver.solve` of op x = b.
+
+    The record holds N, iterations, converged, the wall time of the solve,
+    each iteration's residual and order, and the process's peak RSS after it.
+    """
+    t0 = time.perf_counter()
+    res = solver.solve(op, b, **solve_options)
+    elapsed = time.perf_counter() - t0
+    return res, dict(N=op.n_panels, iterations=res.n_iterations, converged=res.converged,
+                     time=elapsed, residuals=res.residuals, orders=res.orders,
+                     peak_rss_mb=_peak_rss_mb())
+
+
 def _defaults(fn, *names):
     """{name: default} of the named parameters of fn, for a report's params."""
     parameters = inspect.signature(fn).parameters
@@ -144,6 +175,8 @@ def run_convergence(problem, levels, p=12, tol=1e-6, theta=0.5):
     params = dict(problem=problem, p=p, tol=tol, theta=theta,
                   **_defaults(BemOperator, "n_crit", "mu"),
                   **_defaults(solver.solve, "p_min", "max_iter"))
+    solver.check_inputs(tol, p, params["p_min"], params["max_iter"])
+    check_parameters(theta, params["n_crit"], params["mu"])
     report = StudyReport("convergence", params)
     errors, drags, counts = [], [], []
     for level in levels:
@@ -151,12 +184,7 @@ def run_convergence(problem, levels, p=12, tol=1e-6, theta=0.5):
             op, data, exact = setup_problem(meshes.make_rbc(level), "stokes", theta=theta)
         else:
             op, data, exact = setup_problem(meshes.make_sphere(level), problem, theta=theta)
-        b = op.assemble_rhs(data)
-        t0 = time.perf_counter()
-        res = solver.solve(op, b, eta=tol, p_initial=p)
-        t1 = time.perf_counter()
-        rec = dict(N=op.n_panels, iterations=res.n_iterations,
-                   converged=res.converged, time=t1 - t0, orders=res.orders)
+        res, rec = solve_record(op, op.assemble_rhs(data), eta=tol, p_initial=p)
         counts.append(op.n_panels)
         if problem in ("stokes", "rbc"):
             drag = float(op.drag_force(res.x)[0])
@@ -181,17 +209,6 @@ def run_convergence(problem, levels, p=12, tol=1e-6, theta=0.5):
     return report
 
 
-def _timed_solve(op, b, repeats, **kw):
-    """Mean/min/max wall time over identical runs, plus the last result."""
-    times = []
-    res = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        res = solver.solve(op, b, **kw)
-        times.append(time.perf_counter() - t0)
-    return res, float(np.mean(times)), float(min(times)), float(max(times))
-
-
 def run_relaxation_comparison(problem, level, tol=1e-5, p_initial=12, p_min=1,
                               theta=0.5, ncrit_candidates=(126,), repeats=3):
     """Paired relaxed / fixed-order solves with per-variant best n_crit.
@@ -205,22 +222,28 @@ def run_relaxation_comparison(problem, level, tol=1e-5, p_initial=12, p_min=1,
                   p_min=p_min, theta=theta, repeats=repeats,
                   ncrit_candidates=list(ncrit_candidates),
                   **_defaults(BemOperator, "mu"), **_defaults(solver.solve, "max_iter"))
+    solver.check_inputs(tol, p_initial, p_min, params["max_iter"])
+    for n_crit in params["ncrit_candidates"]:
+        check_parameters(theta, n_crit, params["mu"])
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     report = StudyReport("relaxation", params)
     best = {True: None, False: None}
     x_best = {}
-    for n_crit in ncrit_candidates:
+    for n_crit in params["ncrit_candidates"]:
         op, data, _ = setup_problem(meshes.make_sphere(level), problem, theta=theta,
                                     n_crit=n_crit)
         b = op.assemble_rhs(data)
         for relaxed in (True, False):
-            res, t_mean, t_min, t_max = _timed_solve(
-                op, b, repeats, eta=tol, p_initial=p_initial,
-                p_min=p_min if relaxed else p_initial)
-            rec = dict(N=op.n_panels, n_crit=n_crit, relaxed=relaxed,
-                       iterations=res.n_iterations, converged=res.converged,
-                       time=t_mean, time_min=t_min, time_max=t_max)
+            times = []
+            for _ in range(repeats):
+                res, rec = solve_record(op, b, eta=tol, p_initial=p_initial, p_min=p_min,
+                                        relaxed=relaxed)
+                times.append(rec["time"])
+            rec.update(n_crit=n_crit, relaxed=relaxed, time=float(np.mean(times)),
+                       time_min=min(times), time_max=max(times))
             report.records.append(rec)
-            if best[relaxed] is None or t_mean < best[relaxed]["time"]:
+            if best[relaxed] is None or rec["time"] < best[relaxed]["time"]:
                 best[relaxed] = rec
                 x_best[relaxed] = res.x
     report.derived["speedup"] = best[False]["time"] / best[True]["time"]
@@ -237,6 +260,10 @@ def run_scaling(sizes, p=5, n_crit=126, theta=0.5, repeats=1, seed=0):
     Uniform random sources in the unit cube; the fitted log-log slope should
     stay near 1 for a linear-scaling evaluation.
     """
+    # the tree parameters as the operator checks them; mu plays no part here
+    check_parameters(theta, n_crit, **_defaults(BemOperator, "mu"))
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     sizes = [int(n) for n in sizes]
     rng = np.random.default_rng(seed)
     params = dict(p=p, n_crit=n_crit, theta=theta, repeats=repeats, seed=seed)

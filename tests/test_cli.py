@@ -93,6 +93,49 @@ def test_bad_solver_input_exits_2_before_building(tmp_path, monkeypatch, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+def _mesh_text(vertices, triangles, n_panels=None):
+    """A mesh file's text, written without Mesh's checks; n_panels overrides
+    the header's panel count."""
+    rows = [*np.asarray(vertices).tolist(), *np.asarray(triangles).tolist()]
+    header = f"{len(vertices)} {len(triangles) if n_panels is None else n_panels}"
+    return "\n".join([header] + [" ".join(map(str, row)) for row in rows]) + "\n"
+
+
+_SPHERE = M.make_sphere(1)
+_NAN_VERTEX = _SPHERE.vertices.copy()
+_NAN_VERTEX[3, 0] = np.nan
+_SOLVE = ["solve", "--problem", "stokes", "--mesh", "in.msh"]
+
+
+@pytest.mark.parametrize("argv, mesh_text, bad", [
+    (_SOLVE, None, "No such file"),
+    (_SOLVE, _mesh_text(_SPHERE.vertices, _SPHERE.triangles, n_panels=33),
+     "does not match its header"),
+    (_SOLVE, _mesh_text(_SPHERE.vertices, _SPHERE.triangles[:-1]), "check_closed"),
+    (_SOLVE, _mesh_text(_SPHERE.vertices, _SPHERE.triangles[:, ::-1]), "check_outward"),
+    (_SOLVE, _mesh_text(_NAN_VERTEX, _SPHERE.triangles), "must be finite"),
+    (["mesh", "sphere", "--level", "-1"], None, "level must be >= 0"),
+    (["study", "relaxation", "--problem", "laplace1", "--level", "1", "--repeats", "0"],
+     None, "repeats must be >= 1, got 0"),
+    (["study", "scaling", "--sizes", "200", "--repeats", "0"], None,
+     "repeats must be >= 1, got 0"),
+], ids=["missing", "header", "open", "inward", "nan-vertex", "mesh-level",
+        "relaxation-repeats", "scaling-repeats"])
+def test_bad_input_exits_2_without_report(tmp_path, monkeypatch, capsys, argv, mesh_text,
+                                          bad):
+    """A missing or malformed mesh file, an open, inward or non-finite mesh,
+    and a bad mesh or study argument exit 2 with the reason on stderr, not a
+    traceback, and write no report."""
+    monkeypatch.chdir(tmp_path)
+    if mesh_text is not None:
+        (tmp_path / "in.msh").write_text(mesh_text)
+    with pytest.raises(SystemExit) as stop:
+        main(argv + ["--output", "out.json"])
+    assert stop.value.code == 2
+    assert bad in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_study_command(tmp_path):
     out = tmp_path / "scaling.json"
     assert main(["study", "scaling", "--sizes", "200", "800", "--repeats", "1",

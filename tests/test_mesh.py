@@ -131,6 +131,22 @@ def test_invalid_mesh_rejected(tmp_path):
         M.read_mesh(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_vertex_rejected(tmp_path, bad):
+    m = M.make_sphere(1)
+    verts = m.vertices.copy()
+    verts[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        M.Mesh(verts, m.triangles)
+    path = tmp_path / "bad.msh"
+    M.write_mesh(path, m)
+    lines = path.read_text().splitlines()
+    lines[5] = f"0 {bad} 1"     # vertex 4
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        M.read_mesh(path)
+
+
 def test_open_surface_detected():
     m = M.make_sphere(1)
     open_mesh = M.Mesh(m.vertices, m.triangles[:-1])

@@ -159,6 +159,17 @@ def test_gmres_rejects_bad_input_before_first_matvec(b, kwargs, match):
     assert op.calls == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gmres_rejects_nonfinite_b_before_first_matvec(bad):
+    """A NaN or inf in b is named as b's, not blamed on the mat-vec."""
+    op = _CountingOperator()
+    b = np.ones(3)
+    b[1] = bad
+    with pytest.raises(ValueError, match="right-hand side b"):
+        solver.gmres(op.apply, b)
+    assert op.calls == 0
+
+
 def test_relaxed_gmres_matches_fixed_on_dense():
     """Relaxed p-schedule with an exact mat-vec changes nothing."""
     rng = np.random.default_rng(3)

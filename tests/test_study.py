@@ -83,7 +83,8 @@ def test_undefined_order_is_strict_json_null(tmp_path, monkeypatch):
     assert back["derived"]["order"] is None
     rep.derived["order"] = float("nan")
     with pytest.raises(ValueError):
-        rep.write(path)
+        rep.write(tmp_path / "nan.json")
+    assert not (tmp_path / "nan.json").exists()      # no truncated report
 
 
 def test_report_csv(tmp_path):
@@ -112,8 +113,13 @@ def test_run_scaling_trivial_and_small():
     assert all(r["time"] > 0.0 for r in rep.records)
 
 
+# the keys of study.solve_record, which every solving study's record extends
+_SOLVE_KEYS = {"N", "iterations", "converged", "time", "residuals", "orders", "peak_rss_mb"}
+
+
 def test_run_convergence_small():
     rep = study.run_convergence("laplace2", [2, 3, 4], p=10, tol=1e-6)
+    assert all(set(r) == _SOLVE_KEYS | {"error"} for r in rep.records)
     errs = [r["error"] for r in rep.records]
     assert errs[0] > errs[1] > errs[2]
     assert all(r["converged"] for r in rep.records)
@@ -125,7 +131,8 @@ def test_run_convergence_rbc_extrapolates_drag():
     the finest one, at a positive observed order."""
     rep = study.run_convergence("rbc", [1, 2, 3])
     drags = [r["drag"] for r in rep.records]
-    assert len(drags) == 3
+    assert len(drags) == 3 and all(isinstance(d, float) for d in drags)
+    assert all(set(r) == _SOLVE_KEYS | {"drag"} for r in rep.records)
     steps = np.diff(drags)
     assert np.all(steps > 0.0) or np.all(steps < 0.0)
     assert (rep.derived["extrapolated_drag"] - drags[-1]) * steps[-1] > 0.0
@@ -143,3 +150,6 @@ def test_run_relaxation_comparison_small():
     assert rep.derived["solution_difference"] < 1e-5
     assert rep.derived["iterations_relaxed"] >= 1
     assert len(rep.records) == 2
+    extra = {"n_crit", "relaxed", "time_min", "time_max"}
+    assert all(set(r) == _SOLVE_KEYS | extra for r in rep.records)
+    assert all(r["time_min"] <= r["time"] <= r["time_max"] for r in rep.records)
