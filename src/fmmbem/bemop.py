@@ -17,7 +17,9 @@ boundary data.  A side is a kernel, an identity coefficient c and a divisor
 d, and evaluates c * data + layer(data) / d.  The two kernels each have their
 correction matrix; both come from one pass over the near panel pairs, sorted
 by target, and share one :class:`BlockCsr` pattern: plain block CSR of 1x1
-(Laplace) or 3x3 (Stokes) blocks in that pair order.
+(Laplace) or 3x3 (Stokes) blocks in that pair order.  Every Stokes block,
+stokeslet and stresslet alike, is symmetric and is stored as its six
+entries.
 
 Every layer potential is one :func:`fmmbem.kernels.kernel_sum` and takes its
 bare 1/r channel evaluator as one argument: the FMM at some order p, or
@@ -59,6 +61,9 @@ RHS_ORDER = 18
 # candidate pairs per block of the near-pair search: its temporaries stay in
 # cache, and larger blocks run slower
 NEAR_SEARCH_CHUNK = 32768
+# (rows, columns) of the entries that BlockCsr stores of a 1x1 block and of
+# a symmetric 3x3 block: xx, yy, zz, xy, xz, yz
+STORED_ENTRIES = {1: ((0,), (0,)), 3: ((0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2))}
 # the 27 cells around a cell, as (dx, dy, dz)
 _NEIGHBOUR_CELLS = np.array([(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1)
                              for c in (-1, 0, 1)])
@@ -178,7 +183,8 @@ class BemOperator:
         ti, sj = pairs[order, 0], pairs[order, 1]
         del order
         b = 1 if kinds[0].scalar else 3
-        data = np.empty((len(kinds), b, b, len(ti)))
+        rows, cols = STORED_ENTRIES[b]
+        data = np.empty((len(kinds), len(rows), len(ti)))
         for lo in range(0, len(ti), CORRECTION_CHUNK):
             t, s = ti[lo:lo + CORRECTION_CHUNK], sj[lo:lo + CORRECTION_CHUNK]
             own = t == s
@@ -191,7 +197,8 @@ class BemOperator:
             for value, integral, out in zip(sums, self_integrals, data):
                 if integral is not None:
                     value[own] += integral[s[own]]
-                out[..., lo:lo + len(t)] = np.moveaxis(value.reshape(-1, b, b), 0, -1)
+                # every block is symmetric: keep its i <= j entries
+                out[:, lo:lo + len(t)] = value.reshape(-1, b, b)[:, rows, cols].T
         return BlockCsr(ti, sj, self.n_panels, data)
 
     # -- kernel-layer applications ---------------------------------------------
@@ -312,31 +319,46 @@ class BlockCsr:
     """Sparse matrices of b x b blocks on one pattern, in block CSR.
 
     ``count`` matrices share the block positions: the blocks of block row r
-    are ``indptr[r]:indptr[r + 1]``, in block columns ``indices``.
-    ``data[k, :, :, q]`` is block q of matrix k, and ``matvec(x, k)``
-    applies matrix k with one gather, one batched block product and one
-    sum per row.  ``nnz`` counts the scalar entries of all the matrices.
+    are ``indptr[r]:indptr[r + 1]``, in block columns ``indices``.  A block
+    is 1x1 or a symmetric 3x3 stored as its six entries xx, yy, zz, xy, xz,
+    yz (``STORED_ENTRIES``): ``data[k, e, q]`` is entry e of block q of
+    matrix k.  ``matvec(x, k)`` applies matrix k with one gather, the
+    stored entries times the gathered components, and one sum per row.
+    ``nnz`` counts the scalar entries of all the matrices, b * b per block.
     """
 
     def __init__(self, rows, cols, n, data):
         """rows, cols (nb,) block indices, rows ascending; n block rows;
-        data (count, b, b, nb), the blocks in that order."""
+        data (count, 1 or 6, nb), the stored entries of the blocks in that
+        order."""
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         self.indices = cols
         self.data = data
+        self.block = 1 if data.shape[1] == 1 else 3
+        # entry[a, c]: the stored entry that holds block entries (a, c) and (c, a)
+        r, c = STORED_ENTRIES[self.block]
+        self._entry = np.empty((self.block, self.block), dtype=np.intp)
+        self._entry[r, c] = self._entry[c, r] = np.arange(len(r))
         # reduceat would give an empty row the next row's first block, and
         # raises on a start at the end: it sums the non-empty rows only
         self._filled = np.flatnonzero(np.diff(self.indptr))
 
     @property
     def nnz(self):
-        return self.data.size
+        count, _, nb = self.data.shape
+        return count * self.block ** 2 * nb
 
     def matvec(self, x, k):
         """Matrix k times the vector x."""
-        _, b, _, _ = self.data.shape
-        products = np.einsum("acq,cq->aq", self.data[k],
-                             np.take(x.reshape(-1, b).T, self.indices, axis=1))
+        b = self.block
+        data = self.data[k]
+        xs = np.take(x.reshape(-1, b).T, self.indices, axis=1)
+        products = np.empty_like(xs)
+        term = np.empty(xs.shape[1])
+        for a, entries in enumerate(self._entry.tolist()):
+            np.multiply(data[entries[0]], xs[0], out=products[a])
+            for c in range(1, b):
+                products[a] += np.multiply(data[entries[c]], xs[c], out=term)
         y = np.zeros((len(self.indptr) - 1, b))
         y[self._filled] = np.add.reduceat(products, self.indptr[self._filled], axis=1).T
         return y.reshape(-1)

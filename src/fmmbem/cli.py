@@ -21,6 +21,7 @@ def _add_mesh_parser(sub):
     scene.add_argument("--seed", type=int, default=0)
     for sp in (sphere, rbc, scene):
         sp.add_argument("--output", required=True)
+        sp.set_defaults(parser=sp)
 
 
 def _add_solve_parser(sub):
@@ -39,6 +40,7 @@ def _add_solve_parser(sub):
     p.add_argument("--mu", type=float, default=1e-3)
     p.add_argument("--output", required=True,
                    help="solve report path, with each iteration's residual and p")
+    p.set_defaults(parser=p)
 
 
 def _add_study_parser(sub):
@@ -69,6 +71,7 @@ def _add_study_parser(sub):
     for sp in (conv, relax, scal):
         sp.add_argument("--theta", type=float, default=0.5)
         sp.add_argument("--output", required=True)
+        sp.set_defaults(parser=sp)
 
 
 def _run_mesh(args):
@@ -133,12 +136,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     run = {"mesh": _run_mesh, "solve": _run_solve, "study": _run_study}[args.command]
     # bad input, a flag or a mesh file, raises ValueError or OSError before
-    # any report is written; it exits 2 with the reason, as a bad flag's
-    # type does, and leaves exit status 1 to a solve that did not converge
+    # any report is written; it exits 2 with the reason and the usage of the
+    # subcommand that ran, as a bad flag's type does, and leaves exit status
+    # 1 to a solve that did not converge
     try:
         return run(args)
     except (ValueError, OSError) as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -19,9 +19,10 @@ the callers' order.
 One apply holds its expansions, the multipoles only until M2L has read
 them, and beyond them one block of temporaries at a time: in P2M and L2P
 the packed harmonics of one block of bodies (at most BLOCK_BYTES) and the
-field rows of one leaf, in each translation sweep the coefficients of one
-block of a group's cells (at most STACK_BYTES), and in P2P the at most two
-(Nt, Ns) work arrays of one :func:`fmmbem.kernels.laplace_sum`.
+field rows of one leaf, in each translation sweep its maps widened to
+intp and the coefficients of one block of a group's cells (at most
+STACK_BYTES), and in P2P the at most two (Nt, Ns) work arrays of one
+:func:`fmmbem.kernels.laplace_sum`.
 """
 
 import functools
@@ -134,9 +135,11 @@ def _sweep(kind, groups, grids, p, src, dst):
     the reflection signs of flip (see harmonics.reflection_signs).  All
     reflections of a group share T, so its rows go in blocks of at most
     STACK_BYTES of coefficients, one GEMM each, and each rank of a block is
-    added to dst with one scatter.
+    added to dst with one scatter.  The kind's compact maps are widened to
+    intp once, for all groups; the copy (2 MiB at p = 18) lives as long as
+    the sweep.
     """
-    maps = H.translation_maps(kind, p)
+    maps = tuple(m.astype(np.intp) for m in H.translation_maps(kind, p))
     signs = H.reflection_signs(p)
     _, C, size = src.shape
     step = max(1, STACK_BYTES // (8 * C * size))

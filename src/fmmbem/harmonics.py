@@ -43,7 +43,10 @@ M2M operator of the offset's n = 1 harmonics; it acts on coefficients
 through index and weight tables, each output slot a weighted sum of at
 most two input slots per axis.
 
-Functions are batched over the leading axis.  ``translation_maps``,
+Functions are batched over the leading axis.  ``translation_maps`` keeps
+one table per kind, at the highest order asked for so far and in the
+smallest signed integer type that holds its entries (int16 up to p = 90),
+and serves every order as a read-only view of its leading block;
 ``shift_terms`` and the local slot weights are cached per order; nothing
 else keeps state.
 """
@@ -154,12 +157,11 @@ _TRANSLATIONS = {
 # temporaries stay at 128 KiB each
 MAP_BLOCK = 16384
 
-# kind -> (p, maps) of the highest order built so far: every lower order is
-# its leading block
-_HIGHEST_MAPS = {}
+# kind -> (p, maps): the read-only maps of the highest order built so far;
+# every lower order is a view of their leading block
+_TABLES = {}
 
 
-@lru_cache(maxsize=8)
 def translation_maps(kind, p):
     """Index maps of a packed translation operator into a signed grid.
 
@@ -167,14 +169,16 @@ def translation_maps(kind, p):
     (regular of order p or more for 'm2m' and 'l2l', irregular of order 2p
     or more for 'm2l'), the operator is ``G[map1] + G[map2]``
     (:func:`assemble`), applied as ``coeffs_new = coeffs_old @ T.T``.  An
-    entry depends on its (output, input) slot pair alone, so the maps of
-    order p are the leading block, copied contiguous, of any higher order's.
+    entry depends on its (output, input) slot pair alone, so one table per
+    kind is kept, at the highest order asked for so far and in the smallest
+    signed integer type that holds its entries, and the maps of order p are
+    read-only views of its leading block.
     """
-    top, maps = _HIGHEST_MAPS.get(kind, (-1, None))
-    if top < p:
-        top, maps = _HIGHEST_MAPS[kind] = (p, _build_maps(kind, p))
+    if _TABLES.get(kind, (-1,))[0] < p:
+        _TABLES.pop(kind, None)     # free the old table before building
+        _TABLES[kind] = (p, _build_maps(kind, p))
     S = num_coeffs(p)
-    return tuple(np.ascontiguousarray(m[:S, :S]) for m in maps)
+    return tuple(m[:S, :S] for m in _TABLES[kind][1])
 
 
 def _build_maps(kind, p):
@@ -184,11 +188,14 @@ def _build_maps(kind, p):
     (n, m) is Re(o_w c_(n, |m|)) with o_w = 1, or -i for m < 0; input column
     (n, m) reads the full inputs (n, +-|m|) with unit weights w_i; the grid
     entry of the term is g1 G[re_idx] + i g_im G[im_idx].  Output rows go in
-    blocks of MAP_BLOCK entries, so that no temporary is S x S.
+    blocks of MAP_BLOCK entries, so that no temporary is S x S.  The maps are
+    returned read-only, in the smallest signed integer type that holds
+    +-(grid length + 1), a bound on every entry: int16 up to p = 90.
     """
     conj, entry = _TRANSLATIONS[kind]
     n, m = _slots(p)
-    maps = np.empty((2, len(n), len(n)), dtype=np.intp)
+    grid_length = num_coeffs(2 * p if kind == "m2l" else p)
+    maps = np.empty((2, len(n), len(n)), dtype=np.min_scalar_type(-(grid_length + 1)))
     step = max(1, MAP_BLOCK // len(n))
     for k, sgn in enumerate((1, -1)):
         # w_i of the full input (n, sgn |m|) read by packed column (n, m)
@@ -216,6 +223,7 @@ def _build_maps(kind, p):
             sign = np.where(real_u, u_re * g1, -u_im * g_im) * valid * row_sign
             index = flat_index(nu, np.where(real_u, 1, -1) * np.abs(mu))
             maps[k, rows] = sign * (index + 1)
+    maps.flags.writeable = False
     return tuple(maps)
 
 

@@ -10,6 +10,7 @@ from scipy.spatial.distance import cdist
 
 import operator_reference as OR
 from fmmbem import bemop
+from fmmbem import harmonics as H
 from fmmbem import mesh as M
 from fmmbem import quadrature as Q
 from fmmbem import solver
@@ -160,16 +161,24 @@ def _scipy_blocks(rows, cols, blocks, n):
                          shape=(3 * n, 3 * n))
 
 
+def _full_blocks(entries):
+    """(nb,) scalar blocks from (1, nb) stored entries, or (nb, 3, 3)
+    symmetric blocks from the (6, nb) entries xx, yy, zz, xy, xz, yz."""
+    if len(entries) == 1:
+        return entries[0]
+    blocks = np.empty((entries.shape[1], 3, 3))
+    rows, cols = bemop.STORED_ENTRIES[3]
+    blocks[:, rows, cols] = blocks[:, cols, rows] = entries.T
+    return blocks
+
+
 def _recorded_correction(mesh, formulation):
     """The operator, its near pairs in storage order and each matrix's
     blocks in that order, read from the operator's BlockCsr."""
     op = BemOperator(mesh, formulation)
     mat = op._corrections
     rows = np.repeat(np.arange(op.n_panels), np.diff(mat.indptr))
-    blocks = [np.moveaxis(values, -1, 0) for values in mat.data]
-    if mat.data.shape[1] == 1:          # (nb,) blocks for the scalar kernels
-        blocks = [values.reshape(-1) for values in blocks]
-    return op, np.column_stack([rows, mat.indices]), blocks
+    return op, np.column_stack([rows, mat.indices]), [_full_blocks(e) for e in mat.data]
 
 
 @pytest.mark.parametrize("formulation", [Formulation.LAPLACE_FIRST, Formulation.STOKES])
@@ -179,7 +188,9 @@ def test_correction_matches_scipy_csr(sphere3, formulation):
     op, pairs, blocks = _recorded_correction(sphere3, formulation)
     mat = op._corrections
     x = np.random.default_rng(4).uniform(-1.0, 1.0, size=op.shape[0])
-    assert mat.data.shape[0] == 2
+    # two matrices of 1 or 6 stored entries per block
+    assert mat.data.shape == (2, 1 if formulation is Formulation.LAPLACE_FIRST else 6,
+                              len(pairs))
     for k, values in zip((bemop.SYSTEM, bemop.RHS), blocks):
         ref = _scipy_blocks(pairs[:, 0], pairs[:, 1], values, op.n_panels)
         assert mat.nnz == 2 * ref.nnz
@@ -190,7 +201,8 @@ def test_correction_matches_scipy_csr(sphere3, formulation):
 @pytest.mark.parametrize("formulation", list(Formulation))
 def test_corrections_match_per_kind_reference(sphere3, formulation):
     """The shared 23-point pass gives each kernel's fine-minus-coarse blocks
-    of the per-kind build, to 1e-13 of the largest entry."""
+    of the per-kind build, to 1e-13 of the largest entry; a Stokes block's
+    six stored entries give all nine, as the blocks are symmetric."""
     op, pairs, blocks = _recorded_correction(sphere3, formulation)
     near = op._find_near_pairs()
     np.testing.assert_array_equal(pairs, near[np.lexsort((near[:, 1], near[:, 0]))])
@@ -199,10 +211,33 @@ def test_corrections_match_per_kind_reference(sphere3, formulation):
         assert np.abs(values - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_applies_below_rhs_order_hold_no_maps(sphere3, traced_peak):
+    """After a p = 18 right-hand side, applies at p = 16, then at 10 and 5,
+    read views of one int16 translation table per kind.  What the first
+    apply keeps is its per-order shift tables (about 30 KiB); the lower two
+    keep no more.  An int64 copy of the maps per order would keep 4.0 MiB
+    at p = 16 and 0.7 MiB at p = 10."""
+    op = BemOperator(sphere3, Formulation.STOKES)
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, size=op.shape[0])
+    op.assemble_rhs(np.tile([1.0, 0.0, 0.0], (op.n_panels, 1)))
+    # the per-order caches start empty, whatever ran before
+    H.shift_terms.cache_clear()
+    H._local_weights.cache_clear()
+    _, first = traced_peak(lambda: op.apply(x, 16), held=True)
+    _, lower = traced_peak(lambda: (op.apply(x, 10), op.apply(x, 5)), held=True)
+    assert lower <= first < 2 ** 17, (first, lower)
+    assert set(H._TABLES) == {"m2m", "m2l", "l2l"}
+    for kind, (top, table) in H._TABLES.items():
+        assert top >= 18 and all(m.dtype == np.int16 for m in table)
+        for p in (16, 10, 5):
+            assert all(np.shares_memory(m, t) for m, t in zip(H.translation_maps(kind, p), table))
+
+
 @pytest.mark.parametrize("block", [1, 3])
 def test_block_csr_uneven_and_empty_rows(block):
     """Rows of every length, empty rows first or last, against scipy's CSR,
-    for two matrices on one pattern."""
+    for two matrices on one pattern; a 3x3 block is the symmetric block of
+    its six stored entries."""
     rng = np.random.default_rng(block)
     n = 40
     # the last rows empty: no reduceat start may equal the number of blocks
@@ -210,12 +245,11 @@ def test_block_csr_uneven_and_empty_rows(block):
                     np.where(np.arange(n) < n - 6, np.linspace(0.5, 0.1, n), 0.0)):
         dense = rng.random((n, n)) < density[:, None]
         rows, cols = np.nonzero(dense)
-        data = rng.uniform(-1.0, 1.0, size=(2, block, block, len(rows)))
+        data = rng.uniform(-1.0, 1.0, size=(2, 1 if block == 1 else 6, len(rows)))
         mat = bemop.BlockCsr(rows, cols, n, data)
         x = rng.uniform(-1.0, 1.0, size=block * n)
         for k in range(2):
-            blocks = np.moveaxis(data[k], -1, 0)
-            ref = _scipy_blocks(rows, cols, blocks[:, 0, 0] if block == 1 else blocks, n)
+            ref = _scipy_blocks(rows, cols, _full_blocks(data[k]), n)
             assert mat.nnz == 2 * ref.nnz
             np.testing.assert_allclose(mat.matvec(x, k), ref @ x, rtol=1e-14, atol=1e-14)
 

@@ -1,5 +1,6 @@
 """Command-line interface end-to-end runs on tiny problems."""
 
+import itertools
 import json
 
 import numpy as np
@@ -114,25 +115,30 @@ _SOLVE = ["solve", "--problem", "stokes", "--mesh", "in.msh"]
     (_SOLVE, _mesh_text(_SPHERE.vertices, _SPHERE.triangles[:-1]), "check_closed"),
     (_SOLVE, _mesh_text(_SPHERE.vertices, _SPHERE.triangles[:, ::-1]), "check_outward"),
     (_SOLVE, _mesh_text(_NAN_VERTEX, _SPHERE.triangles), "must be finite"),
+    (_SOLVE + ["--p", "8", "--p-min", "12"], None, "p_min=12, p_initial=8"),
     (["mesh", "sphere", "--level", "-1"], None, "level must be >= 0"),
     (["study", "relaxation", "--problem", "laplace1", "--level", "1", "--repeats", "0"],
      None, "repeats must be >= 1, got 0"),
     (["study", "scaling", "--sizes", "200", "--repeats", "0"], None,
      "repeats must be >= 1, got 0"),
-], ids=["missing", "header", "open", "inward", "nan-vertex", "mesh-level",
+], ids=["missing", "header", "open", "inward", "nan-vertex", "p-min", "mesh-level",
         "relaxation-repeats", "scaling-repeats"])
 def test_bad_input_exits_2_without_report(tmp_path, monkeypatch, capsys, argv, mesh_text,
                                           bad):
     """A missing or malformed mesh file, an open, inward or non-finite mesh,
     and a bad mesh or study argument exit 2 with the reason on stderr, not a
-    traceback, and write no report."""
+    traceback, under the usage of the subcommand that ran, and write no
+    report."""
     monkeypatch.chdir(tmp_path)
     if mesh_text is not None:
         (tmp_path / "in.msh").write_text(mesh_text)
     with pytest.raises(SystemExit) as stop:
         main(argv + ["--output", "out.json"])
     assert stop.value.code == 2
-    assert bad in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert bad in err
+    command = " ".join(itertools.takewhile(lambda arg: not arg.startswith("-"), argv))
+    assert err.startswith(f"usage: fmmbem {command} [-h]"), err
     assert not (tmp_path / "out.json").exists()
 
 

@@ -285,19 +285,33 @@ def test_shift_tables_equal_dense_operators(kind):
         assert np.array_equal(weight, ref_weight), p
 
 
+def _smallest_signed(bound):
+    """The smallest of numpy's signed integer types whose range holds
+    -bound..bound."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                if np.iinfo(t).max >= bound)
+
+
 @pytest.mark.parametrize("kind", ["m2m", "l2l", "m2l"])
 def test_translation_maps_equal_complex_derivation(kind):
-    """The integer maps, built at each order or sliced from a higher one, are
-    exactly those of the complex derivation at every order up to 18."""
-    H.translation_maps.cache_clear()     # so that every lower order is a slice
-    H.translation_maps(kind, 18)
+    """The integer maps, built at each order or viewed in the one table of
+    order 18 or more, are exactly those of the complex derivation at every
+    order up to 18, each in the smallest signed type that holds +-(grid
+    length + 1)."""
+    top = H.translation_maps(kind, 18)
     for p in range(19):
         ref = HR.translation_maps(kind, p)
-        for maps in (H._build_maps(kind, p), H.translation_maps(kind, p)):
+        grid_length = H.num_coeffs(2 * p if kind == "m2l" else p)
+        built, viewed = H._build_maps(kind, p), H.translation_maps(kind, p)
+        for maps in (built, viewed):
             assert len(maps) == 2
             for m, r in zip(maps, ref):
-                assert m.dtype == r.dtype
+                assert not m.flags.writeable
                 np.testing.assert_array_equal(m, r)
+        assert all(m.dtype == _smallest_signed(grid_length + 1) for m in built)
+        # a lower order is the leading block of the table, not a copy
+        assert all(np.shares_memory(v, t) and v.dtype == t.dtype
+                   for v, t in zip(viewed, top))
 
 
 @pytest.mark.parametrize("kind", ["m2m", "l2l", "m2l"])
