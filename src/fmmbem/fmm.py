@@ -19,10 +19,10 @@ the callers' order.
 One apply holds its expansions, the multipoles only until M2L has read
 them, and beyond them one block of temporaries at a time: in P2M and L2P
 the packed harmonics of one block of bodies (at most BLOCK_BYTES) and the
-field rows of one leaf, in each translation sweep its maps widened to
-intp and the coefficients of one block of a group's cells (at most
-STACK_BYTES), and in P2P the at most two (Nt, Ns) work arrays of one
-:func:`fmmbem.kernels.laplace_sum`.
+field rows of one leaf, in each translation sweep the signed grid of its
+offsets, its maps widened to intp and the coefficients of one block of a
+group's cells (at most STACK_BYTES), and in P2P the at most two (Nt, Ns)
+work arrays of one :func:`fmmbem.kernels.laplace_sum`.
 """
 
 import functools
@@ -127,24 +127,26 @@ def _child_parent(tree):
     return np.column_stack([kids, parents]), tree.center[kids] - tree.center[parents]
 
 
-def _sweep(kind, groups, grids, p, src, dst):
+def _sweep(kind, groups, offsets, p, src, dst):
     """dst[b] += diag(s) T diag(s) src[a] for every pair (a, b, flip) of every
-    group, in the order of groups.
+    group, in the order of groups, offsets[i] being the offset of groups[i].
 
     T is the kind's operator built from the group's signed grid row, and s
     the reflection signs of flip (see harmonics.reflection_signs).  All
     reflections of a group share T, so its rows go in blocks of at most
     STACK_BYTES of coefficients, one GEMM each, and each rank of a block is
-    added to dst with one scatter.  The kind's compact maps are widened to
-    intp once, for all groups; the copy (2 MiB at p = 18) lives as long as
-    the sweep.
+    added to dst with one scatter.  The signed grid of the offsets at order
+    p (irregular of order 2p for M2L) and the kind's compact maps widened
+    to intp are built once, for all groups, and live as long as the sweep.
     """
+    grid = H.signed_grid(H.packed_irregular(offsets, 2 * p) if kind == "m2l"
+                         else H.packed_regular(offsets, p))
     maps = tuple(m.astype(np.intp) for m in H.translation_maps(kind, p))
     signs = H.reflection_signs(p)
     _, C, size = src.shape
     step = max(1, STACK_BYTES // (8 * C * size))
-    for grid, (a, b, flip, bounds) in zip(grids, groups):
-        T = H.assemble(grid, maps)
+    for row, (a, b, flip, bounds) in zip(grid, groups):
+        T = H.assemble(row, maps)
         for lo in range(0, len(a), step):
             hi = min(lo + step, len(a))
             s = np.take(signs, flip[lo:hi], axis=0)[:, None]
@@ -159,7 +161,8 @@ def _sweep(kind, groups, grids, p, src, dst):
 
 
 class FmmPlan:
-    """Trees, traversal and cached translation data for one geometry."""
+    """Trees, traversal and translation groups for one geometry: nothing
+    that depends on the order p, and nothing that an apply changes."""
 
     def __init__(self, src_pos, tgt_pos, n_crit=126, theta=0.5):
         src_pos = np.atleast_2d(np.asarray(src_pos, dtype=float))
@@ -193,7 +196,6 @@ class FmmPlan:
             sources = np.sort(sources)
             self._p2p.append((start, end, sources,
                               pair_geometry(tgt.sorted_points[start:end], src.points[sources])))
-        self._grids = {}   # kind -> (p, signed grid) of the highest order used
 
     # -- structural bookkeeping -------------------------------------------------
 
@@ -212,18 +214,6 @@ class FmmPlan:
 
     # -- far field --------------------------------------------------------------
 
-    def _grid(self, kind, p):
-        """Signed harmonics at every offset of a kind, regular of order p or
-        irregular of order 2p for M2L, kept at the highest p used so far."""
-        if self._grids.get(kind, (-1,))[0] < p:
-            self._grids.pop(kind, None)   # free the old grid before building
-            offsets = {"m2m": self._m2m_offsets, "m2l": self._m2l_offsets,
-                       "l2l": self._l2l_offsets}[kind]
-            harmonics = (H.packed_irregular(offsets, 2 * p) if kind == "m2l"
-                         else H.packed_regular(offsets, p))
-            self._grids[kind] = (p, H.signed_grid(harmonics))
-        return self._grids[kind][1]
-
     def far_field(self, charges=None, dipoles=None, p=8, want_gradient=False):
         """Expansion-mediated part of the 1/r (and dipole) potential.
 
@@ -231,30 +221,28 @@ class FmmPlan:
         channels.  Returns (C, Nt) potentials and (C, Nt, 3) gradients, the
         latter None unless want_gradient.  P2P pairs are NOT included.
         """
-        C = len(charges if charges is not None else dipoles)
-        nt = len(self.tgt_tree.points)
-        size = H.num_coeffs(p)
-
-        M = self._upward(charges, dipoles, p, C, size)
-        L = self._m2l_sweep(M, p, C, size)
+        M = self._upward(charges, dipoles, p)
+        L = self._m2l_sweep(M, p)
         del M       # read by M2L alone: freed before L2L and L2P
         self._l2l_sweep(L, p)
-        pot = np.zeros((C, nt))
-        grad = np.zeros((C, nt, 3)) if want_gradient else None
+        shape = (L.shape[1], len(self.tgt_tree.points))
+        pot = np.zeros(shape)
+        grad = np.zeros(shape + (3,)) if want_gradient else None
         self._l2p(L, p, pot, grad)
         return pot, grad
 
-    def _upward(self, q, dip, p, C, size):
+    def _upward(self, q, dip, p):
         """P2M at the leaves, then M2M to the root."""
-        M = np.zeros((self.src_tree.n_cells, C, size))
+        C = len(q if q is not None else dip)
+        M = np.zeros((self.src_tree.n_cells, C, H.num_coeffs(p)))
         # the P2M temporaries are freed on return, before M2M builds its maps
-        self._leaf_multipoles(q, dip, p, C, M)
+        self._leaf_multipoles(q, dip, p, M)
         # smallest offset, so deepest level, first: a parent's multipole is
         # complete before it moves up
-        _sweep("m2m", self._m2m_groups, self._grid("m2m", p), p, M, M)
+        _sweep("m2m", self._m2m_groups, self._m2m_offsets, p, M, M)
         return M
 
-    def _leaf_multipoles(self, q, dip, p, C, M):
+    def _leaf_multipoles(self, q, dip, p, M):
         """Add each source leaf's multipole coefficients to its row of M.
 
         Each leaf's slice of a block forms [q; d_x; d_y; d_z] @ R with one
@@ -262,6 +250,7 @@ class FmmPlan:
         adjoint gradient shift.  Densities are gathered block by block.
         """
         tree = self.src_tree
+        C = M.shape[1]
 
         def visit(bodies, R, slices):
             rows = [] if q is None else [q[:, bodies]]
@@ -302,15 +291,15 @@ class FmmPlan:
             visit(tree.perm[lo:hi], R, slices)
             del R
 
-    def _m2l_sweep(self, M, p, C, size):
-        L = np.zeros((self.tgt_tree.n_cells, C, size))
-        _sweep("m2l", self._m2l_groups, self._grid("m2l", p), p, M, L)
+    def _m2l_sweep(self, M, p):
+        L = np.zeros((self.tgt_tree.n_cells,) + M.shape[1:])
+        _sweep("m2l", self._m2l_groups, self._m2l_offsets, p, M, L)
         return L
 
     def _l2l_sweep(self, L, p):
         # largest offset, so shallowest level, first: a parent's local
         # expansion is complete before it moves down
-        _sweep("l2l", self._l2l_groups[::-1], self._grid("l2l", p)[::-1], p, L, L)
+        _sweep("l2l", self._l2l_groups[::-1], self._l2l_offsets[::-1], p, L, L)
 
     def _l2p(self, L, p, pot, grad):
         """Add the potential (and gradient) of every leaf's local expansion at

@@ -48,7 +48,8 @@ one table per kind, at the highest order asked for so far and in the
 smallest signed integer type that holds its entries (int16 up to p = 90),
 and serves every order as a read-only view of its leading block;
 ``shift_terms`` and the local slot weights are cached per order; nothing
-else keeps state.
+else keeps state.  These caches are the only state of the package that
+depends on the expansion order: an FMM plan holds geometry alone.
 """
 
 from functools import lru_cache

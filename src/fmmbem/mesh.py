@@ -108,6 +108,8 @@ def make_sphere(level, radius=1.0, center=(0.0, 0.0, 0.0)):
     """
     if level < 0:
         raise ValueError("level must be >= 0")
+    if not 0.0 < radius < np.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius}")
     verts, tris = _OCTA_VERTS.copy(), _OCTA_FACES.copy()
     for _ in range(level):
         verts, tris = _subdivide(verts, tris)

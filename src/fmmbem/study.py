@@ -172,6 +172,8 @@ def run_convergence(problem, levels, p=12, tol=1e-6, theta=0.5):
     levels = list(levels)
     if len(levels) < 3:
         raise ValueError("need at least 3 mesh levels")
+    if min(levels) < 0:
+        raise ValueError(f"every level must be >= 0, got {min(levels)}")
     params = dict(problem=problem, p=p, tol=tol, theta=theta,
                   **_defaults(BemOperator, "n_crit", "mu"),
                   **_defaults(solver.solve, "p_min", "max_iter"))
@@ -264,7 +266,11 @@ def run_scaling(sizes, p=5, n_crit=126, theta=0.5, repeats=1, seed=0):
     check_parameters(theta, n_crit, **_defaults(BemOperator, "mu"))
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if p < 0:
+        raise ValueError(f"p must be >= 0, got {p}")
     sizes = [int(n) for n in sizes]
+    if min(sizes) < 1:
+        raise ValueError(f"every size must be >= 1, got {min(sizes)}")
     rng = np.random.default_rng(seed)
     params = dict(p=p, n_crit=n_crit, theta=theta, repeats=repeats, seed=seed)
     report = StudyReport("scaling", params)

@@ -74,6 +74,10 @@ def test_solve_command_exits_1_when_not_converged(tmp_path):
       "--ncrit-candidates", "64", "-3"], "got -3"),
     (["study", "scaling", "--sizes", "200", "--ncrit", "0"], "n_crit must be"),
     (["study", "scaling", "--sizes", "200", "--theta", "-0.5"], "got -0.5"),
+    (["study", "scaling", "--sizes", "2000", "--p", "-1"], "p must be >= 0, got -1"),
+    (["study", "scaling", "--sizes", "3000", "0"], "size must be >= 1, got 0"),
+    (["study", "convergence", "--problem", "laplace1", "--levels", "1", "2", "-1"],
+     "level must be >= 0, got -1"),
 ])
 def test_bad_solver_input_exits_2_before_building(tmp_path, monkeypatch, capsys, argv, bad):
     """Input that gmres rejects, or tree and fluid parameters (theta, each
@@ -117,12 +121,16 @@ _SOLVE = ["solve", "--problem", "stokes", "--mesh", "in.msh"]
     (_SOLVE, _mesh_text(_NAN_VERTEX, _SPHERE.triangles), "must be finite"),
     (_SOLVE + ["--p", "8", "--p-min", "12"], None, "p_min=12, p_initial=8"),
     (["mesh", "sphere", "--level", "-1"], None, "level must be >= 0"),
+    (["mesh", "sphere", "--level", "1", "--radius", "-1"], None,
+     "radius must be finite and > 0, got -1.0"),
+    (["mesh", "sphere", "--level", "1", "--radius", "0"], None,
+     "radius must be finite and > 0, got 0.0"),
     (["study", "relaxation", "--problem", "laplace1", "--level", "1", "--repeats", "0"],
      None, "repeats must be >= 1, got 0"),
     (["study", "scaling", "--sizes", "200", "--repeats", "0"], None,
      "repeats must be >= 1, got 0"),
 ], ids=["missing", "header", "open", "inward", "nan-vertex", "p-min", "mesh-level",
-        "relaxation-repeats", "scaling-repeats"])
+        "mesh-radius-negative", "mesh-radius-zero", "relaxation-repeats", "scaling-repeats"])
 def test_bad_input_exits_2_without_report(tmp_path, monkeypatch, capsys, argv, mesh_text,
                                           bad):
     """A missing or malformed mesh file, an open, inward or non-finite mesh,

@@ -1,5 +1,7 @@
 """Tree-accelerated evaluation against direct sums, and structural checks."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,17 +116,19 @@ def test_stacked_sweep_equals_per_member_sweep(p, monkeypatch):
     monkeypatch.setattr(fmm, "STACK_BYTES", 5 * 8 * C * size)
     rng = np.random.default_rng(p)
     n_src, n_tgt = plan.src_tree.n_cells, plan.tgt_tree.n_cells
-    sweeps = [("m2m", plan._m2m_groups, plan._grid("m2m", p), n_src, None),
-              ("m2l", plan._m2l_groups, plan._grid("m2l", p), n_src, n_tgt),
-              ("l2l", plan._l2l_groups[::-1], plan._grid("l2l", p)[::-1], n_tgt, None)]
-    for kind, groups, grids, n_in, n_out in sweeps:
+    sweeps = [("m2m", plan._m2m_groups, plan._m2m_offsets, n_src, None),
+              ("m2l", plan._m2l_groups, plan._m2l_offsets, n_src, n_tgt),
+              ("l2l", plan._l2l_groups[::-1], plan._l2l_offsets[::-1], n_tgt, None)]
+    for kind, groups, offsets, n_in, n_out in sweeps:
         assert max(len(a) for a, _, _, _ in groups) > 5, kind
         src = rng.normal(size=(n_in, C, size))
         # M2L adds to existing locals; M2M and L2L sweep one array in place
         dst = src if n_out is None else rng.normal(size=(n_out, C, size))
         ref_dst = dst.copy()
         ref_src = ref_dst if n_out is None else src.copy()
-        fmm._sweep(kind, groups, grids, p, src, dst)
+        fmm._sweep(kind, groups, offsets, p, src, dst)
+        grids = H.signed_grid(H.packed_irregular(offsets, 2 * p) if kind == "m2l"
+                              else H.packed_regular(offsets, p))
         OR.sweep_per_member(kind, groups, grids, p, ref_src, ref_dst)
         assert _rel_l2(dst, ref_dst) <= 1e-15, kind
 
@@ -264,13 +268,15 @@ def test_far_field_holds_expansions_and_one_block(traced_peak):
     """One p = 18 far field of 7 dipole channels with gradients holds, beyond
     its multipoles and locals (4.8 MiB here), one block of temporaries.
 
-    The traced peak is 8.1 MiB.  Keeping the multipoles through L2L and L2P,
-    the field rows of every leaf at once and 2048-body harmonics blocks took
-    it to 17.9 MiB; the bound lies between the two.
+    The traced peak is 11.7 MiB, in the M2L sweep.  Its temporaries include
+    the signed grid of the sweep's 65 offsets at order 36 (1.4 MiB) and the
+    maps widened to intp (2 MiB).  Keeping the multipoles through L2L and
+    L2P, the field rows of every leaf at once and 2048-body harmonics blocks
+    took it to 17.9 MiB; the bound lies between the two.
     """
     plan = _sphere_plan()
     dip = np.random.default_rng(0).normal(size=(7, len(plan.src_tree.points), 3))
-    plan.far_field(dipoles=dip, p=18, want_gradient=True)   # maps and grids of p = 18
+    plan.far_field(dipoles=dip, p=18, want_gradient=True)   # the maps of p = 18
     peak = traced_peak(lambda: plan.far_field(dipoles=dip, p=18, want_gradient=True))
     assert peak < 12 * 2 ** 20, peak / 2 ** 20
 
@@ -287,8 +293,8 @@ def test_plan_reuse_across_orders():
 
 def test_plan_reapplied_at_any_order_equals_fresh_plan():
     """One plan applied at p = 12, 3, 12, 18, 5 in turn gives at each order
-    bitwise the far field of a fresh plan: the grids it keeps serve every
-    lower order and grow when p rises again."""
+    bitwise the far field of a fresh plan: no apply leaves anything behind
+    that a later one at another order reads."""
     plan = _sphere_plan()
     rng = np.random.default_rng(14)
     q = rng.uniform(-1.0, 1.0, size=(2, len(plan.src_tree.points)))
@@ -298,6 +304,22 @@ def test_plan_reapplied_at_any_order_equals_fresh_plan():
         ref_pot, ref_grad = _sphere_plan().far_field(charges=q, dipoles=dip, p=p,
                                                      want_gradient=True)
         assert np.array_equal(pot, ref_pot) and np.array_equal(grad, ref_grad), p
+
+
+def test_plan_is_not_changed_by_an_apply():
+    """Far fields with gradients at p = 18, 5 and 18 create, drop and change
+    no attribute of the plan, nor any array it holds: a plan holds geometry
+    only, and each apply builds what its order needs."""
+    plan = _sphere_plan()
+    before = {k: pickle.dumps(v) for k, v in vars(plan).items()}
+    rng = np.random.default_rng(15)
+    q = rng.uniform(-1.0, 1.0, size=(2, len(plan.src_tree.points)))
+    dip = rng.normal(size=(2, len(plan.src_tree.points), 3))
+    for p in (18, 5, 18):
+        plan.far_field(charges=q, dipoles=dip, p=p, want_gradient=True)
+    assert vars(plan).keys() == before.keys()
+    changed = [k for k, v in vars(plan).items() if pickle.dumps(v) != before[k]]
+    assert not changed, changed
 
 
 def test_error_bound_requires_separation():

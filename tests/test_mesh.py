@@ -131,6 +131,14 @@ def test_invalid_mesh_rejected(tmp_path):
         M.read_mesh(path)
 
 
+@pytest.mark.parametrize("radius", [-1.0, 0.0, np.inf, np.nan])
+def test_sphere_radius_must_be_finite_and_positive(radius):
+    """A negative radius would turn the sphere inside out and a zero one
+    collapse it to a point; neither is built."""
+    with pytest.raises(ValueError, match="radius must be finite and > 0"):
+        M.make_sphere(1, radius=radius)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_vertex_rejected(tmp_path, bad):
     m = M.make_sphere(1)
