@@ -177,11 +177,8 @@ class BemOperator:
         singular = {KernelKind.LAPLACE_SINGLE: Q.integrate_singular_laplace,
                     KernelKind.STOKESLET: Q.integrate_singular_stokeslet}
         self_integrals = [singular[kind](pv) if kind in singular else None for kind in kinds]
-        # _radius_pairs is source-major with targets ascending, so a stable
-        # sort by target leaves each block row's sources ascending
-        order = np.argsort(pairs[:, 0], kind="stable")
-        ti, sj = pairs[order, 0], pairs[order, 1]
-        del order
+        # contiguous copies: BlockCsr.indices is gathered by every matvec
+        ti, sj = pairs[:, 0].copy(), pairs[:, 1].copy()
         b = 1 if kinds[0].scalar else 3
         rows, cols = STORED_ENTRIES[b]
         data = np.empty((len(kinds), len(rows), len(ti)))
@@ -230,8 +227,9 @@ class BemOperator:
         grad = np.zeros((C, nt, 3)) if want_gradient else None
         for lo in range(0, nt, DENSE_CHUNK):
             sl = slice(lo, lo + DENSE_CHUNK)
-            pot[:, sl], g = kernels.direct_laplace_sum(self.centroids[sl], self.src_pos,
-                                                       charges, dipoles, want_gradient)
+            geo = kernels.pair_geometry(self.centroids[sl], self.src_pos)
+            pot[:, sl], g = kernels.laplace_sum(geo, self.src_pos, charges, dipoles,
+                                                want_gradient)
             if want_gradient:
                 grad[:, sl] = g
         return pot, grad
@@ -274,10 +272,11 @@ class BemOperator:
 def _radius_pairs(points, radius):
     """(target, source) index pairs with |points[t] - points[s]| <= radius[s].
 
-    Sorted by source, then by target.  A uniform grid of cells of the largest
-    radius bins the points, so every target of a source lies in the 27 cells
-    around the source's own; the squared distance is summed x, y, z in that
-    order, as a k-d tree ball query sums it.
+    Sorted by target, then by source: the block CSR order.  A uniform grid
+    of cells of the largest radius bins the points, so every source near a
+    target lies in the 27 cells around the target's own; the squared
+    distance is summed x, y, z in that order, as a k-d tree ball query sums
+    it.
     """
     n = len(points)
     cell = ((points - points.min(axis=0)) // radius.max()).astype(np.int64) + 1
@@ -285,6 +284,7 @@ def _radius_pairs(points, radius):
     key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
     order = np.argsort(key)
     sorted_points = points[order].T.copy()
+    sorted_radius2 = radius[order] ** 2
     cells, cell_of, size = np.unique(key, return_inverse=True, return_counts=True)
     # first sorted point and size of the 27 cells around each occupied cell
     around = cells[:, None] + _NEIGHBOUR_CELLS @ [dims[1] * dims[2], dims[2], 1]
@@ -298,21 +298,20 @@ def _radius_pairs(points, radius):
     codes = []
     for lo, hi in zip(bounds, np.append(bounds[1:], n)):
         count = size[cell_of[lo:hi]].ravel()
-        per_source = candidates[lo:hi]
+        per_target = candidates[lo:hi]
         pos = (np.repeat(first[cell_of[lo:hi]].ravel() - (np.cumsum(count) - count), count)
                + np.arange(count.sum()))
         d2 = np.zeros(len(pos))
         for axis in range(3):
             d = np.take(sorted_points[axis], pos)
-            d -= np.repeat(points[lo:hi, axis], per_source)
+            d -= np.repeat(points[lo:hi, axis], per_target)
             d *= d
             d2 += d
-        code = np.repeat(np.arange(lo, hi) * n, per_source) + np.take(order, pos)
-        code = code[d2 <= np.repeat(radius[lo:hi] ** 2, per_source)]
+        code = np.repeat(np.arange(lo, hi) * n, per_target) + np.take(order, pos)
+        code = code[d2 <= np.take(sorted_radius2, pos)]
         code.sort()
         codes.append(code)
-    sources, targets = np.divmod(np.concatenate(codes), n)
-    return np.column_stack([targets, sources])
+    return np.column_stack(np.divmod(np.concatenate(codes), n))
 
 
 class BlockCsr:

@@ -214,8 +214,8 @@ class FmmPlan:
 
     # -- far field --------------------------------------------------------------
 
-    def far_field(self, charges=None, dipoles=None, p=8, want_gradient=False):
-        """Expansion-mediated part of the 1/r (and dipole) potential.
+    def far_field(self, charges=None, dipoles=None, *, p, want_gradient=False):
+        """Expansion-mediated part of the 1/r (and dipole) potential at order p.
 
         charges (C, Ns) and dipoles (C, Ns, 3), either may be None, are C
         channels.  Returns (C, Nt) potentials and (C, Nt, 3) gradients, the
@@ -371,18 +371,11 @@ class FmmPlan:
         return pot, grad
 
 
-def evaluate(kernel, src_pos, weights, targets, p, theta=0.5, n_crit=126,
-             normals=None, plan=None):
-    """FMM approximation of :func:`fmmbem.kernels.direct_sum`.
+def evaluate(kernel, plan, weights, p, normals=None):
+    """FMM approximation at order p of :func:`fmmbem.kernels.direct_sum`
+    from the sources to the targets of the :class:`FmmPlan` plan.
 
     weights: (Ns,) charges for Laplace kernels, (Ns, 3) strengths for Stokes.
-    A prebuilt :class:`FmmPlan` for the same geometry can be passed to amortize
-    tree construction across calls.
     """
-    src_pos = np.atleast_2d(np.asarray(src_pos, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if plan is None:
-        plan = FmmPlan(src_pos, targets, n_crit=n_crit, theta=theta)
-    return kernel_sum(kernel, functools.partial(plan.channel_sum, p=p), src_pos, weights,
-                      targets, normals)
-
+    return kernel_sum(kernel, functools.partial(plan.channel_sum, p=p), plan.src_tree.points,
+                      weights, plan.tgt_tree.points, normals)

@@ -6,9 +6,10 @@ boundary-integral formulation are applied by the operator layer).
 
 :func:`direct_sum` contracts the pointwise kernels and is the independent
 reference.  :func:`kernel_sum` is the only place where a kernel is split
-into Laplace-type channels of the bare 1/r sum, which :func:`laplace_sum`
-over a :func:`pair_geometry`, the FMM or the dense operator path evaluate,
-and recombined.
+into Laplace-type channels of the bare 1/r sum and recombined; the FMM or
+the dense operator path evaluates the channels.  Every direct 1/r sum, the
+FMM's P2P and the dense path alike, is one :func:`laplace_sum` over a
+:func:`pair_geometry` of its block of targets.
 :func:`rule_sums` gives the quadrature sums of several kernels over one
 rule per target, the sums behind the operator's near-pair corrections.
 """
@@ -166,32 +167,23 @@ def _source_columns(sources, origin):
     return ya
 
 
-def _geometry(targets, sources):
-    """The :class:`PairGeometry` of targets (Nt, 3) against sources (Ns, 3),
-    the centred sources (3, Ns) and the (Nt, Ns) squared distances, close
-    pairs patched."""
+def pair_geometry(targets, sources):
+    """The :class:`PairGeometry` of targets (Nt, 3) against sources (Ns, 3)."""
     targets = np.asarray(targets, dtype=float)
     origin = np.mean(targets, axis=0)
     x = targets - origin
     xa = _target_rows(x)
     ya = _source_columns(sources, origin)
-    y = ya[:3]
     d2 = xa @ ya
     # the cutoff uses the largest norms, so it is never tighter than a
     # per-pair one
     cutoff = 1e-10 * (np.max(xa[:, 4], initial=0.0) + np.max(ya[3], initial=0.0))
     close = np.flatnonzero(d2 <= cutoff)
-    ti, si = np.divmod(close, y.shape[1])
-    diff = x[ti] - y[:, si].T
+    ti, si = np.divmod(close, ya.shape[1])
+    diff = x[ti] - ya[:3, si].T
     dc = np.einsum("ki,ki->k", diff, diff)
     dc[dc == 0.0] = np.inf
-    np.put(d2, close, dc)
-    return PairGeometry(origin, xa, close, dc), y, d2
-
-
-def pair_geometry(targets, sources):
-    """The :class:`PairGeometry` of targets (Nt, 3) against sources (Ns, 3)."""
-    return _geometry(targets, sources)[0]
+    return PairGeometry(origin, xa, close, dc)
 
 
 def laplace_sum(geo, sources, charges=None, dipoles=None, want_gradient=False):
@@ -202,27 +194,16 @@ def laplace_sum(geo, sources, charges=None, dipoles=None, want_gradient=False):
     C channels sharing one geometry.  Returns (C, Nt) potentials and
     (C, Nt, 3) gradients at the targets, the latter None unless
     want_gradient.  Coincident pairs contribute exactly zero.
+
+    Charge potentials alone form 1/r in the squared distances' array.
+    Otherwise the 1/r^k kernels take turns in one (Nt, Ns) array beside it:
+    1/r^3 and 1/r^5 are formed in place once the lower power is no longer
+    needed.
     """
     ya = _source_columns(sources, geo.origin)
+    y = ya[:3]
     d2 = geo.xa @ ya
     np.put(d2, geo.close, geo.close_d2)
-    return _pair_sums(geo, ya[:3], d2, charges, dipoles, want_gradient)
-
-
-def direct_laplace_sum(targets, sources, charges=None, dipoles=None, want_gradient=False):
-    """:func:`laplace_sum` of targets (Nt, 3) against sources (Ns, 3), from
-    the squared distances that finding the pair geometry forms."""
-    return _pair_sums(*_geometry(targets, sources), charges, dipoles, want_gradient)
-
-
-def _pair_sums(geo, y, d2, charges, dipoles, want_gradient):
-    """The sums of :func:`laplace_sum` over sources y (3, Ns) centred on
-    geo.origin, d2 their squared distances to the targets; d2 is overwritten.
-
-    Charge potentials alone form 1/r in d2's array.  Otherwise the 1/r^k
-    kernels take turns in one (Nt, Ns) array beside d2's: 1/r^3 and 1/r^5
-    are formed in place once the lower power is no longer needed.
-    """
     nt, ns = d2.shape
 
     def gemm(rows):

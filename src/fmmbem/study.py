@@ -155,6 +155,11 @@ def solve_record(op, b, **solve_options):
                      peak_rss_mb=_peak_rss_mb())
 
 
+def _check_problem(problem, problems):
+    if problem not in problems:
+        raise ValueError(f"problem must be one of {', '.join(problems)}, got {problem!r}")
+
+
 def _defaults(fn, *names):
     """{name: default} of the named parameters of fn, for a report's params."""
     parameters = inspect.signature(fn).parameters
@@ -169,11 +174,14 @@ def run_convergence(problem, levels, p=12, tol=1e-6, theta=0.5):
     The operator and the relaxed solve run with their own defaults otherwise.
     The order is None when no interior triple of errors is monotone.
     """
+    _check_problem(problem, [*_FORMULATIONS, "rbc"])
     levels = list(levels)
     if len(levels) < 3:
         raise ValueError("need at least 3 mesh levels")
     if min(levels) < 0:
         raise ValueError(f"every level must be >= 0, got {min(levels)}")
+    if any(a >= b for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"levels must be strictly increasing, got {levels}")
     params = dict(problem=problem, p=p, tol=tol, theta=theta,
                   **_defaults(BemOperator, "n_crit", "mu"),
                   **_defaults(solver.solve, "p_min", "max_iter"))
@@ -224,7 +232,10 @@ def run_relaxation_comparison(problem, level, tol=1e-5, p_initial=12, p_min=1,
                   p_min=p_min, theta=theta, repeats=repeats,
                   ncrit_candidates=list(ncrit_candidates),
                   **_defaults(BemOperator, "mu"), **_defaults(solver.solve, "max_iter"))
+    _check_problem(problem, list(_FORMULATIONS))
     solver.check_inputs(tol, p_initial, p_min, params["max_iter"])
+    if not params["ncrit_candidates"]:
+        raise ValueError("ncrit_candidates must not be empty")
     for n_crit in params["ncrit_candidates"]:
         check_parameters(theta, n_crit, params["mu"])
     if repeats < 1:
@@ -282,7 +293,7 @@ def run_scaling(sizes, p=5, n_crit=126, theta=0.5, repeats=1, seed=0):
         run_times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            evaluate(KernelKind.LAPLACE_SINGLE, pos, charges, pos, p=p, plan=plan)
+            evaluate(KernelKind.LAPLACE_SINGLE, plan, charges, p)
             run_times.append(time.perf_counter() - t0)
         t_mean = float(np.mean(run_times))
         times.append(t_mean)

@@ -239,7 +239,7 @@ def test_criterion_7_fmm_accuracy():
     q = rng.uniform(-1.0, 1.0, size=10000)
     probes = rng.uniform(0.0, 1.0, size=(2000, 3))
     ref = direct_sum(KernelKind.LAPLACE_SINGLE, pos, q, probes)
-    val = F.evaluate(KernelKind.LAPLACE_SINGLE, pos, q, probes, p=15, theta=0.5)
+    val = F.evaluate(KernelKind.LAPLACE_SINGLE, F.FmmPlan(pos, probes, theta=0.5), q, 15)
     err = _rel(val, ref)
 
     a = 0.5

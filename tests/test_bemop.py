@@ -129,8 +129,8 @@ def test_near_pairs_match_brute_force():
     """Target i is near source panel j when their centroids lie within j's cutoff."""
     op = BemOperator(M.make_sphere(2), Formulation.LAPLACE_FIRST)
     cutoff = bemop.NEAR_FACTOR * np.sqrt(2.0 * op.areas)
-    # rows (j, i) in ascending order, the order the search returns
-    ref = np.argwhere(cdist(op.centroids, op.centroids).T <= cutoff[:, None])[:, ::-1]
+    # rows (i, j) in ascending order, the order the search returns
+    ref = np.argwhere(cdist(op.centroids, op.centroids) <= cutoff)
     pairs = op._find_near_pairs()
     assert pairs.dtype == np.intp
     np.testing.assert_array_equal(pairs, ref)
@@ -140,7 +140,7 @@ def test_near_pairs_match_brute_force():
     lambda: M.make_sphere(3), lambda: M.make_sphere(5), lambda: M.make_scene(6, 3, seed=3),
 ])
 def test_near_pairs_match_kd_tree_ball_query(make_mesh):
-    """The grid search returns the k-d tree's pairs, in its order."""
+    """The grid search returns the k-d tree's pairs, sorted by target, then by source."""
     mesh = make_mesh()
     pts, _ = Q.quadrature_points(mesh.panel_vertices, Q.FAR_RULE)
     centroids = pts[:, 0]
@@ -148,6 +148,7 @@ def test_near_pairs_match_kd_tree_ball_query(make_mesh):
     hits = cKDTree(centroids).query_ball_point(centroids, cutoff, return_sorted=True)
     ref = np.column_stack([np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp),
                            np.repeat(np.arange(len(hits)), [len(h) for h in hits])])
+    ref = ref[np.lexsort(ref.T[::-1])]
     np.testing.assert_array_equal(bemop._radius_pairs(centroids, cutoff), ref)
 
 

@@ -78,6 +78,10 @@ def test_solve_command_exits_1_when_not_converged(tmp_path):
     (["study", "scaling", "--sizes", "3000", "0"], "size must be >= 1, got 0"),
     (["study", "convergence", "--problem", "laplace1", "--levels", "1", "2", "-1"],
      "level must be >= 0, got -1"),
+    (["study", "convergence", "--problem", "laplace1", "--levels", "2", "1", "0"],
+     "levels must be strictly increasing, got [2, 1, 0]"),
+    (["study", "convergence", "--problem", "laplace1", "--levels", "2", "2", "3"],
+     "levels must be strictly increasing, got [2, 2, 3]"),
 ])
 def test_bad_solver_input_exits_2_before_building(tmp_path, monkeypatch, capsys, argv, bad):
     """Input that gmres rejects, or tree and fluid parameters (theta, each

@@ -198,7 +198,7 @@ def test_error_decreases_with_p():
     ref = direct_sum(KernelKind.LAPLACE_SINGLE, pos, q, tgt)
     errs = []
     for p in (3, 6, 12):
-        val = evaluate(KernelKind.LAPLACE_SINGLE, pos, q, tgt, p=p)
+        val = evaluate(KernelKind.LAPLACE_SINGLE, FmmPlan(pos, tgt), q, p)
         errs.append(_rel_l2(val, ref))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-5
@@ -211,7 +211,7 @@ def test_error_tracks_two_to_minus_p():
     tgt = np.random.default_rng(31).uniform(0.0, 1.0, size=(300, 3))
     ref = direct_sum(KernelKind.LAPLACE_SINGLE, pos, q, tgt)
     for p in (5, 10):
-        val = evaluate(KernelKind.LAPLACE_SINGLE, pos, q, tgt, p=p)
+        val = evaluate(KernelKind.LAPLACE_SINGLE, FmmPlan(pos, tgt), q, p)
         assert _rel_l2(val, ref) <= 2.0 ** -p
 
 
@@ -242,7 +242,7 @@ def test_all_kernels_match_direct(kind):
     scalar = kind is KernelKind.LAPLACE_DOUBLE
     w = rng.uniform(-1.0, 1.0, size=1200 if scalar else (1200, 3))
     ref = direct_sum(kind, pos, w, tgt, normals=normals)
-    val = evaluate(kind, pos, w, tgt, p=15, normals=normals)
+    val = evaluate(kind, FmmPlan(pos, tgt), w, 15, normals=normals)
     # Stokes kernels run through gradient channels, which cost ~one digit
     tol = 1e-6 if kind is KernelKind.LAPLACE_DOUBLE else 1e-5
     assert _rel_l2(val, ref) < tol
@@ -286,8 +286,8 @@ def test_plan_reuse_across_orders():
     tgt = np.random.default_rng(32).uniform(0.0, 1.0, size=(900, 3))
     plan = FmmPlan(pos, tgt, n_crit=64)
     ref = direct_sum(KernelKind.LAPLACE_SINGLE, pos, q, tgt)
-    e_lo = _rel_l2(evaluate(KernelKind.LAPLACE_SINGLE, pos, q, tgt, p=3, plan=plan), ref)
-    e_hi = _rel_l2(evaluate(KernelKind.LAPLACE_SINGLE, pos, q, tgt, p=12, plan=plan), ref)
+    e_lo = _rel_l2(evaluate(KernelKind.LAPLACE_SINGLE, plan, q, 3), ref)
+    e_hi = _rel_l2(evaluate(KernelKind.LAPLACE_SINGLE, plan, q, 12), ref)
     assert e_hi < e_lo
 
 
@@ -395,7 +395,7 @@ def test_target_leaf_without_p2p_pair_gets_zeros():
     assert np.all(pot[:, far] == 0.0) and np.all(grad[:, far] == 0.0)
     assert np.all(pot[:, ~far] != 0.0)
     ref = direct_sum(KernelKind.LAPLACE_SINGLE, src, q[0], tgt)
-    val = evaluate(KernelKind.LAPLACE_SINGLE, src, q[0], tgt, p=12, plan=plan)
+    val = evaluate(KernelKind.LAPLACE_SINGLE, plan, q[0], 12)
     # the order rule's 2^-p
     assert _rel_l2(val[far], ref[far]) <= 2.0 ** -12
     assert _rel_l2(val, ref) <= 2.0 ** -12

@@ -138,20 +138,6 @@ def test_laplace_sum_translation_invariant():
     assert np.abs(grad_s - grad).max() <= 1e-10 * np.abs(grad).max()
 
 
-def test_direct_laplace_sum_equals_laplace_sum():
-    """The sums over the squared distances of the pair search are those of a
-    geometry and a second GEMM, to the last bit."""
-    src = RNG.uniform(-1, 1, size=(150, 3))
-    tgt = np.vstack([RNG.uniform(-1, 1, size=(40, 3)), src[:10]])
-    q = RNG.uniform(-1, 1, size=(2, 150))
-    dip = RNG.uniform(-1, 1, size=(2, 150, 3))
-    for args in [(q, None, False), (q, None, True), (None, dip, True), (q, dip, True)]:
-        ref = K.laplace_sum(K.pair_geometry(tgt, src), src, *args)
-        out = K.direct_laplace_sum(tgt, src, *args)
-        for a, b in zip(out, ref):
-            assert (a is None and b is None) or np.array_equal(a, b)
-
-
 def test_laplace_sum_holds_two_pair_arrays(traced_peak):
     """Dipoles with gradients, the deepest path, hold at most two (Nt, Ns)
     arrays at once: the traced peak is 2.09 of them, against 4.11 with

@@ -144,6 +144,24 @@ def test_run_convergence_needs_three_levels():
         study.run_convergence("laplace1", [2, 3])
 
 
+@pytest.mark.parametrize("run, bad", [
+    (lambda: study.run_convergence("foo", [1, 2, 3]), "got 'foo'"),
+    (lambda: study.run_relaxation_comparison("rbc", 2), "got 'rbc'"),
+    (lambda: study.run_relaxation_comparison("laplace1", 2, ncrit_candidates=()),
+     "ncrit_candidates must not be empty"),
+])
+def test_study_rejects_input_the_cli_cannot_send_before_building(monkeypatch, run, bad):
+    """An unknown problem or no n_crit candidate raises ValueError naming
+    it before any mesh is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a mesh from bad input")
+
+    monkeypatch.setattr(study.meshes, "make_sphere", refuse)
+    monkeypatch.setattr(study.meshes, "make_rbc", refuse)
+    with pytest.raises(ValueError, match=bad):
+        run()
+
+
 def test_run_relaxation_comparison_small():
     rep = study.run_relaxation_comparison("laplace1", level=2, tol=1e-6,
                                           p_initial=10, repeats=1)
