@@ -54,9 +54,9 @@ CORRECTION_CHUNK = 2048
 # operator: apply's and assemble_rhs's
 SYSTEM, RHS = 0, 1
 # expansion order of the FMM right-hand side: its error against the direct
-# sums is 40-50x below the solve tolerance on the benchmark workloads (2.6e-8
-# at tol 1e-6 on an 8192-panel Laplace sphere, 2.1e-7 at tol 1e-5 on six
-# Stokes cells)
+# sums is 40-60x below the solve tolerance on the benchmark workloads (2.6e-8
+# at tol 1e-6 on an 8192-panel Laplace sphere, 1.6e-7 at tol 1e-5 on six
+# Stokes cells, seed 7)
 RHS_ORDER = 18
 # candidate pairs per block of the near-pair search: its temporaries stay in
 # cache, and larger blocks run slower

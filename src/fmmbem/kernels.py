@@ -7,8 +7,9 @@ boundary-integral formulation are applied by the operator layer).
 :func:`direct_sum` contracts the pointwise kernels and is the independent
 reference.  :func:`kernel_sum` is the only place where a kernel is split
 into Laplace-type channels of the bare 1/r sum and recombined; the FMM or
-the dense operator path evaluates the channels.  Every direct 1/r sum, the
-FMM's P2P and the dense path alike, is one :func:`laplace_sum` over a
+the dense operator path evaluates the channels, four for either Stokes
+kernel (the stresslet's of S = (f n^T + n f^T) / 2).  Every direct 1/r sum,
+the FMM's P2P and the dense path alike, is one :func:`laplace_sum` over a
 :func:`pair_geometry` of its block of targets.
 :func:`rule_sums` gives the quadrature sums of several kernels over one
 rule per target, the sums behind the operator's near-pair corrections.
@@ -268,9 +269,10 @@ def kernel_sum(kind, channel_sum, src_pos, weights, targets, normals=None):
     charges (C, Ns) and dipoles (C, Ns, 3), either may be None, and returns
     (C, Nt) potentials at the targets and (C, Nt, 3) gradients, the latter
     None unless want_gradient, like :func:`laplace_sum`.  A Laplace kernel
-    is one channel.  The stokeslet is four charge potentials and the
-    stresslet seven dipole potentials, recombined from their values and
-    gradients at the targets (Tornberg & Greengard, JCP 2008).
+    is one channel.  The stokeslet is four charge potentials, of f and y . f,
+    the stresslet four dipole potentials, of 2 S e_c and 2 S y with
+    S = (f n^T + n f^T) / 2; both give u_i = phi_i - x_c d_i phi_c + d_i psi
+    from their values and gradients (Tornberg & Greengard, JCP 2008).
     """
     kind = KernelKind(kind)
     _check_normals(kind, normals)
@@ -281,26 +283,24 @@ def kernel_sum(kind, channel_sum, src_pos, weights, targets, normals=None):
     if kind is KernelKind.LAPLACE_DOUBLE:
         return channel_sum(None, (f[:, None] * n)[None], False)[0][0] / FOUR_PI
     x = np.asarray(targets, dtype=float)
-    yf = np.einsum("si,si->s", np.asarray(src_pos, dtype=float), f)
+    y = np.asarray(src_pos, dtype=float)
+    yf = np.einsum("si,si->s", y, f)
     if kind is KernelKind.STOKESLET:
-        # phi_c = sum f_c / r and psi = sum (y . f) / r give
-        # u_i = phi_i - x_c d_i phi_c + d_i psi
+        # charge potentials phi_c (charges f_c) and psi (y . f)
         pot, grad = channel_sum(np.vstack([f.T, yf]), None, True)
-        u = pot[:3].T.copy()
-        u -= np.einsum("tc,cti->ti", x, grad[:3])
-        u += grad[3]
-        return u
-    # dipole potentials Phi_c (moments f_c n), Lambda_c (n_c f) and
-    # Psi ((y . f) n) give u_i = 2 Lambda_i - 2 x_c d_i Phi_c + 2 d_i Psi
-    dip = np.empty((7, len(f), 3))
-    for c in range(3):
-        dip[c] = f[:, c:c + 1] * n
-        dip[3 + c] = n[:, c:c + 1] * f
-    dip[6] = yf[:, None] * n
-    pot, grad = channel_sum(None, dip, True)
-    u = 2.0 * pot[3:6].T
-    u -= 2.0 * np.einsum("tc,cti->ti", x, grad[:3])
-    u += 2.0 * grad[6]
+    else:
+        # 6 r_i (r . f)(r . n) / r^5 sees f and n only through r^T S r;
+        # phi_c of moments 2 S e_c = f n_c + n f_c and psi of 2 S y give
+        # x_c phi_c - psi = sum 2 r^T S r / r^3, whose gradient yields u
+        yn = np.einsum("si,si->s", y, n)
+        dip = np.empty((4, len(f), 3))
+        for c in range(3):
+            dip[c] = f * n[:, c:c + 1] + n * f[:, c:c + 1]
+        dip[3] = yn[:, None] * f + yf[:, None] * n
+        pot, grad = channel_sum(None, dip, True)
+    u = pot[:3].T.copy()
+    u -= np.einsum("tc,cti->ti", x, grad[:3])
+    u += grad[3]
     return u
 
 

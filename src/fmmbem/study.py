@@ -282,6 +282,8 @@ def run_scaling(sizes, p=5, n_crit=126, theta=0.5, repeats=1, seed=0):
     sizes = [int(n) for n in sizes]
     if min(sizes) < 1:
         raise ValueError(f"every size must be >= 1, got {min(sizes)}")
+    if any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"sizes must be strictly increasing, got {sizes}")
     rng = np.random.default_rng(seed)
     params = dict(p=p, n_crit=n_crit, theta=theta, repeats=repeats, seed=seed)
     report = StudyReport("scaling", params)

@@ -82,6 +82,10 @@ def test_solve_command_exits_1_when_not_converged(tmp_path):
      "levels must be strictly increasing, got [2, 1, 0]"),
     (["study", "convergence", "--problem", "laplace1", "--levels", "2", "2", "3"],
      "levels must be strictly increasing, got [2, 2, 3]"),
+    (["study", "scaling", "--sizes", "600", "600"],
+     "sizes must be strictly increasing, got [600, 600]"),
+    (["study", "scaling", "--sizes", "800", "200"],
+     "sizes must be strictly increasing, got [800, 200]"),
 ])
 def test_bad_solver_input_exits_2_before_building(tmp_path, monkeypatch, capsys, argv, bad):
     """Input that gmres rejects, or tree and fluid parameters (theta, each

@@ -265,8 +265,9 @@ def test_gradient_consistency():
 
 
 def test_far_field_holds_expansions_and_one_block(traced_peak):
-    """One p = 18 far field of 7 dipole channels with gradients holds, beyond
-    its multipoles and locals (4.8 MiB here), one block of temporaries.
+    """One p = 18 far field of 7 dipole channels with gradients, more than
+    the stresslet's 4, holds, beyond its multipoles and locals (4.8 MiB
+    here), one block of temporaries.
 
     The traced peak is 11.7 MiB, in the M2L sweep.  Its temporaries include
     the signed grid of the sweep's 65 offsets at order 36 (1.4 MiB) and the

@@ -111,6 +111,45 @@ def test_laplace_sum_matches_direct_sum(kind):
     np.testing.assert_allclose(val, ref, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind, charges, dipoles", [
+    (K.KernelKind.STOKESLET, (4, 9), None),
+    (K.KernelKind.STRESSLET, None, (4, 9, 3)),
+])
+def test_stokes_kernels_take_four_channels_in_one_call(kind, charges, dipoles):
+    """The stokeslet is four charge channels and the stresslet four dipole
+    channels, of 2 S e_c and 2 S y, each with gradients, in one call."""
+    src, tgt = RNG.uniform(-1, 1, size=(9, 3)), RNG.uniform(2, 3, size=(5, 3))
+    normals = RNG.normal(size=(9, 3))
+    geo = K.pair_geometry(tgt, src)
+    calls = []
+
+    def spy(q, d, want_gradient):
+        calls.append((None if q is None else q.shape, None if d is None else d.shape,
+                      want_gradient))
+        return K.laplace_sum(geo, src, q, d, want_gradient)
+
+    K.kernel_sum(kind, spy, src, RNG.uniform(-1, 1, size=(9, 3)), tgt, normals)
+    assert calls == [(charges, dipoles, True)]
+
+
+@pytest.mark.parametrize("kind", [K.KernelKind.STOKESLET, K.KernelKind.STRESSLET])
+def test_stokes_kernel_sum_drops_coincident_source(kind):
+    """A target that coincides with a source gets the direct sum over the
+    other sources: the recombined channels carry nothing of the pair."""
+    src = RNG.uniform(-1, 1, size=(60, 3))
+    tgt = np.vstack([src[17], RNG.uniform(2, 3, size=(8, 3))])
+    normals = RNG.normal(size=(60, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    w = RNG.uniform(-1, 1, size=(60, 3))
+    val = K.kernel_sum(kind, functools.partial(K.laplace_sum, K.pair_geometry(tgt, src), src),
+                       src, w, tgt, normals)
+    others = np.arange(60) != 17
+    ref = np.vstack([
+        K.direct_sum(kind, src[others], w[others], tgt[:1], normals[others]),
+        K.direct_sum(kind, src, w, tgt[1:], normals)])
+    assert np.abs(val - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_laplace_sum_coincident_pair_is_zero():
     x = np.array([[0.3, -1.2, 2.5]])
     pot, grad = K.laplace_sum(K.pair_geometry(x, x), x, charges=np.array([[2.0]]),
