@@ -82,25 +82,23 @@ _OCTA_FACES = np.array(
 
 
 def _subdivide(vertices, triangles):
-    """Split every triangle in four via deduplicated edge midpoints."""
-    verts = list(vertices)
-    midpoint = {}
-
-    def mid(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in midpoint:
-            verts.append(0.5 * (vertices[a] + vertices[b]))
-            midpoint[key] = len(verts) - 1
-        return midpoint[key]
-
-    tris = []
-    for a, b, c in triangles:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        tris += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-    return np.asarray(verts), np.asarray(tris)
+    """Split every triangle in four at its edge midpoints, each midpoint made
+    once and numbered in the order its edge first occurs (ab, bc, ca of each
+    triangle in turn); the children of (a, b, c) come four in a row."""
+    edges = np.sort(triangles[:, [[0, 1], [1, 2], [2, 0]]], axis=2).reshape(-1, 2)
+    _, first, inverse = np.unique(edges @ [len(vertices), 1], return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    mid = np.empty_like(first)
+    mid[order] = np.arange(len(first)) + len(vertices)
+    ab, bc, ca = mid[inverse].reshape(-1, 3).T
+    a, b, c = triangles.T
+    i, j = edges[first[order]].T
+    verts = np.vstack([vertices, 0.5 * (vertices[i] + vertices[j])])
+    return verts, np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
 
 
-def make_sphere(level, radius=1.0, center=(0.0, 0.0, 0.0)):
+def make_sphere(level, radius=1.0):
     """Sphere mesh with 8 * 4^level panels by recursive octahedron refinement.
 
     Midpoints are projected radially after every subdivision so panel quality
@@ -115,7 +113,7 @@ def make_sphere(level, radius=1.0, center=(0.0, 0.0, 0.0)):
         verts, tris = _subdivide(verts, tris)
         verts /= np.linalg.norm(verts, axis=1, keepdims=True)
     verts = verts / np.linalg.norm(verts, axis=1, keepdims=True)
-    return Mesh(verts * radius + np.asarray(center, dtype=float), tris)
+    return Mesh(verts * radius, tris)
 
 
 RBC_SCALE = 3.91

@@ -14,7 +14,8 @@ class Octree:
 
     Bodies are reordered depth-first so every cell (leaf or internal) owns the
     contiguous slice ``perm[body_start[c] : body_start[c] + body_count[c]]``
-    of original point indices.  Children of an internal cell partition its
+    of original point indices.  Cells are numbered level by level, and in
+    body order within a level.  Children of an internal cell partition its
     cube into octants; leaves hold at most ``n_crit`` bodies unless the depth
     cap forced an oversized leaf.
     """
@@ -59,10 +60,12 @@ def bounding_cube(points):
 def build_tree(points, n_crit, root_center=None, root_half=None):
     """Build an octree over ``points`` with leaf capacity ``n_crit``.
 
-    Deterministic for a fixed input order: octants are visited in a fixed
-    order and bodies keep their relative input order inside each leaf.
-    Coincident points beyond capacity end up in an oversized leaf at the
-    depth cap, MAX_DEPTH.
+    The tree grows one level per pass: every cell of the deepest level with
+    more than ``n_crit`` bodies splits at once, its slice of ``perm`` stably
+    sorted by octant, so bodies keep their relative input order inside each
+    leaf and the body order is depth first.  Cells are numbered level by
+    level, and within a level by parent and octant.  Coincident points
+    beyond capacity end up in an oversized leaf at the depth cap, MAX_DEPTH.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
@@ -72,55 +75,34 @@ def build_tree(points, n_crit, root_center=None, root_half=None):
     if root_center is None or root_half is None:
         root_center, root_half = bounding_cube(pts)
 
-    centers, halves, levels, parents, children = [], [], [], [], []
-    starts, counts = [], []
-    perm = np.empty(len(pts), dtype=np.intp)
-    cursor = 0
+    perm = np.arange(len(pts))
+    signs = np.array([[1.0 if o & bit else -1.0 for bit in (1, 2, 4)] for o in range(8)])
+    # per level: center, half width, body start, body count, parent, octant
+    levels = [(np.asarray(root_center, dtype=float).reshape(1, 3), np.array([float(root_half)]),
+               np.zeros(1, dtype=np.intp), np.array([len(pts)]), np.array([-1]), np.array([0]))]
+    first = 0                           # number of the deepest level's first cell
+    while len(levels) <= MAX_DEPTH:
+        center, half, start, count = levels[-1][:4]
+        split = np.flatnonzero(count > n_crit)
+        if len(split) == 0:
+            break
+        # the positions in perm of the splitting cells' bodies, cell by cell
+        n = count[split]
+        owner = np.repeat(split, n)
+        pos = np.repeat(start[split] + n - np.cumsum(n), n) + np.arange(n.sum())
+        body = perm[pos]
+        key = 8 * owner + (pts[body] > center[owner]) @ np.array([1, 2, 4])
+        order = np.argsort(key, kind="stable")
+        perm[pos] = body[order]
+        keys, head, size = np.unique(key[order], return_index=True, return_counts=True)
+        cell, octant = np.divmod(keys, 8)
+        h = half[cell] * 0.5
+        levels.append((center[cell] + h[:, None] * signs[octant], h, pos[head], size,
+                       first + cell, octant))
+        first += len(half)
 
-    def new_cell(center, half, level, parent, nbody):
-        centers.append(center)
-        halves.append(half)
-        levels.append(level)
-        parents.append(parent)
-        children.append([-1] * 8)
-        starts.append(0)
-        counts.append(nbody)
-        return len(centers) - 1
-
-    root = new_cell(np.asarray(root_center, dtype=float), float(root_half), 0, -1, len(pts))
-    # iterative DFS so deep trees cannot hit the recursion limit
-    stack = [(root, np.arange(len(pts)))]
-    while stack:
-        cell, idx = stack.pop()
-        # the DFS places this cell's bodies before those of any cell still
-        # on the stack, so its first descendant leaf starts here
-        starts[cell] = cursor
-        if len(idx) <= n_crit or levels[cell] >= MAX_DEPTH:
-            perm[cursor:cursor + len(idx)] = idx
-            cursor += len(idx)
-            continue
-        c = centers[cell]
-        octant = (
-            (pts[idx, 0] > c[0]).astype(np.intp)
-            + 2 * (pts[idx, 1] > c[1]).astype(np.intp)
-            + 4 * (pts[idx, 2] > c[2]).astype(np.intp)
-        )
-        h = halves[cell] * 0.5
-        kids = []
-        for o in range(8):
-            sub = idx[octant == o]
-            if len(sub) == 0:
-                continue
-            off = np.array([h if o & 1 else -h, h if o & 2 else -h, h if o & 4 else -h])
-            k = new_cell(c + off, h, levels[cell] + 1, cell, len(sub))
-            children[cell][o] = k
-            kids.append((k, sub))
-        # push in reverse so octant 0 is processed (and numbered) first
-        stack.extend(reversed(kids))
-
-    return Octree(
-        pts, perm,
-        np.asarray(centers), np.asarray(halves),
-        np.asarray(levels, dtype=np.intp), np.asarray(parents, dtype=np.intp),
-        np.asarray(children, dtype=np.intp), np.asarray(starts), np.asarray(counts),
-    )
+    center, half, start, count, parent, octant = map(np.concatenate, zip(*levels))
+    level = np.repeat(np.arange(len(levels)), [len(lv[1]) for lv in levels])
+    children = np.full((len(half), 8), -1, dtype=np.intp)
+    children[parent[1:], octant[1:]] = np.arange(1, len(half))
+    return Octree(pts, perm, center, half, level, parent, children, start, count)

@@ -22,7 +22,6 @@ from .kernels import FOUR_PI
 class TriangleRule:
     """Quadrature rule in barycentric coordinates; weights sum to one."""
 
-    name: str
     bary: np.ndarray     # (K, 3)
     weights: np.ndarray  # (K,)
 
@@ -46,7 +45,7 @@ def _make_far_rule():
     # symmetric 4-point rule, degree 3, centroid first
     pts = [(1 / 3, 1 / 3, 1 / 3)] + _sym3(0.2)
     wts = [-27 / 48] + [25 / 48] * 3
-    return TriangleRule("far", np.array(pts), np.array(wts))
+    return TriangleRule(np.array(pts), np.array(wts))
 
 
 def _make_near_rule():
@@ -63,7 +62,7 @@ def _make_near_rule():
         wts += [w] * 3
     pts += _sym6(0.741198598784498, 0.036838412054736)
     wts += [0.043283539377289] * 6
-    return TriangleRule("near", np.array(pts), np.array(wts))
+    return TriangleRule(np.array(pts), np.array(wts))
 
 
 FAR_RULE = _make_far_rule()

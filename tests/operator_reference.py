@@ -1,14 +1,15 @@
 """Per-pair and per-kind forms of the operator build, kept as references.
 
-The package builds the tree traversal, the near-pair corrections and the
-interaction counts in whole-array passes: the traversal one tree level at
-a time, the corrections of both kernels of a formulation in one pass over
-one 23-point rule per pair, the counts as per-cell sums pushed down the
-target tree, the translations of one offset group for all its reflections
-at once.  These are the forms the tests check them against: the traversal
-one cell pair at a time, the rule sums one kernel at a time, each
-kernel's correction as fine-rule sums minus coarse-rule sums, the counts
-one pair at a time, and the translations one reflection at a time.
+The package builds the octree, the tree traversal, the near-pair
+corrections and the interaction counts in whole-array passes: the octree
+and the traversal one tree level at a time, the corrections of both
+kernels of a formulation in one pass over one 23-point rule per pair, the
+counts as per-cell sums pushed down the target tree, the translations of
+one offset group for all its reflections at once.  These are the forms
+the tests check them against: the octree one cell at a time, depth first,
+the traversal one cell pair at a time, the rule sums one kernel at a time,
+each kernel's correction as fine-rule sums minus coarse-rule sums, the
+counts one pair at a time, and the translations one reflection at a time.
 """
 
 import math
@@ -19,6 +20,72 @@ from fmmbem import harmonics as H
 from fmmbem import quadrature as Q
 from fmmbem.fmm import BLOCK_BYTES, CELL_RADIUS_FACTOR
 from fmmbem.kernels import FOUR_PI, KernelKind
+from fmmbem.octree import MAX_DEPTH, Octree, bounding_cube
+
+
+def build_tree(points, n_crit, root_center=None, root_half=None):
+    """octree.build_tree one cell at a time: an iterative depth-first
+    split, octant 0 first, that numbers the cells in that order."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) == 0:
+        raise ValueError("points must be a nonempty (N, 3) array")
+    if n_crit < 1:
+        raise ValueError("n_crit must be >= 1")
+    if root_center is None or root_half is None:
+        root_center, root_half = bounding_cube(pts)
+
+    centers, halves, levels, parents, children = [], [], [], [], []
+    starts, counts = [], []
+    perm = np.empty(len(pts), dtype=np.intp)
+    cursor = 0
+
+    def new_cell(center, half, level, parent, nbody):
+        centers.append(center)
+        halves.append(half)
+        levels.append(level)
+        parents.append(parent)
+        children.append([-1] * 8)
+        starts.append(0)
+        counts.append(nbody)
+        return len(centers) - 1
+
+    root = new_cell(np.asarray(root_center, dtype=float), float(root_half), 0, -1, len(pts))
+    # iterative DFS so deep trees cannot hit the recursion limit
+    stack = [(root, np.arange(len(pts)))]
+    while stack:
+        cell, idx = stack.pop()
+        # the DFS places this cell's bodies before those of any cell still
+        # on the stack, so its first descendant leaf starts here
+        starts[cell] = cursor
+        if len(idx) <= n_crit or levels[cell] >= MAX_DEPTH:
+            perm[cursor:cursor + len(idx)] = idx
+            cursor += len(idx)
+            continue
+        c = centers[cell]
+        octant = (
+            (pts[idx, 0] > c[0]).astype(np.intp)
+            + 2 * (pts[idx, 1] > c[1]).astype(np.intp)
+            + 4 * (pts[idx, 2] > c[2]).astype(np.intp)
+        )
+        h = halves[cell] * 0.5
+        kids = []
+        for o in range(8):
+            sub = idx[octant == o]
+            if len(sub) == 0:
+                continue
+            off = np.array([h if o & 1 else -h, h if o & 2 else -h, h if o & 4 else -h])
+            k = new_cell(c + off, h, levels[cell] + 1, cell, len(sub))
+            children[cell][o] = k
+            kids.append((k, sub))
+        # push in reverse so octant 0 is processed (and numbered) first
+        stack.extend(reversed(kids))
+
+    return Octree(
+        pts, perm,
+        np.asarray(centers), np.asarray(halves),
+        np.asarray(levels, dtype=np.intp), np.asarray(parents, dtype=np.intp),
+        np.asarray(children, dtype=np.intp), np.asarray(starts), np.asarray(counts),
+    )
 
 
 def dual_traversal(src_tree, tgt_tree, theta):

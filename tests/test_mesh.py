@@ -27,9 +27,8 @@ def test_sphere_area_volume_converge():
 
 
 def test_sphere_radius_center():
-    m = M.make_sphere(2, radius=2.5, center=(1.0, -2.0, 0.5))
-    r = np.linalg.norm(m.vertices - [1.0, -2.0, 0.5], axis=1)
-    np.testing.assert_allclose(r, 2.5)
+    m = M.make_sphere(2, radius=2.5)
+    np.testing.assert_allclose(np.linalg.norm(m.vertices, axis=1), 2.5)
 
 
 def test_rbc_shape():

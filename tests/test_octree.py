@@ -3,7 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fmmbem.octree import bounding_cube, build_tree
+import operator_reference as OR
+from fmmbem.octree import MAX_DEPTH, bounding_cube, build_tree
 
 
 def _random_points(n, seed):
@@ -71,3 +72,53 @@ def test_leaf_of_body_lookup():
         leaf = tree.leaf_of_body[b]
         s, c = tree.body_start[leaf], tree.body_count[leaf]
         assert s <= b < s + c
+
+
+def _by_cell_order(tree):
+    """The tree's cell fields sorted by (body_start, level), with parents and
+    children renumbered through that sort; this order does not depend on how
+    a build numbers its cells."""
+    order = np.lexsort((tree.level, tree.body_start))
+    new = np.empty(tree.n_cells + 1, dtype=np.intp)
+    new[order] = np.arange(tree.n_cells)
+    new[-1] = -1                        # -1 (no cell) stays -1
+    return {
+        "center": tree.center[order], "half_width": tree.half_width[order],
+        "level": tree.level[order], "body_start": tree.body_start[order],
+        "body_count": tree.body_count[order],
+        "parent": new[tree.parent[order]], "children": new[tree.children[order]],
+    }
+
+
+@given(n=st.integers(1, 300), n_dup=st.integers(0, 60), n_crit=st.integers(1, 64),
+       seed=st.integers(0, 10**6), given_cube=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_tree_matches_depth_first_reference(n, n_dup, n_crit, seed, given_cube):
+    """The level-by-level build equals the per-cell depth-first one up to cell
+    numbering: the same body order and the same cells, parents and children."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, size=(n, 3))
+    pts = np.vstack([pts, pts[rng.integers(0, n, size=n_dup)]])[rng.permutation(n + n_dup)]
+    cube = (np.array([0.1, -0.2, 0.05]), 1.5) if given_cube else (None, None)
+    tree, ref = build_tree(pts, n_crit, *cube), OR.build_tree(pts, n_crit, *cube)
+    np.testing.assert_array_equal(tree.perm, ref.perm)
+    assert tree.n_levels == ref.n_levels
+    got, want = _by_cell_order(tree), _by_cell_order(ref)
+    for name in want:
+        assert got[name].dtype == want[name].dtype, name
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+def test_depth_cap_keeps_coincident_points_in_one_leaf():
+    """Coincident points beyond n_crit stop splitting at MAX_DEPTH, in one leaf."""
+    rng = np.random.default_rng(8)
+    spot = np.array([0.3, -0.1, 0.2])
+    pts = np.vstack([np.tile(spot, (30, 1)), rng.uniform(-1.0, 1.0, size=(5, 3))])
+    tree = build_tree(pts, 4)
+    assert tree.n_levels == MAX_DEPTH + 1
+    capped = tree.leaves[tree.level[tree.leaves] == MAX_DEPTH]
+    assert len(capped) == 1 and tree.body_count[capped[0]] == 30
+    s = tree.body_start[capped[0]]
+    np.testing.assert_array_equal(np.sort(tree.perm[s:s + 30]), np.arange(30))
+    others = tree.leaves[tree.leaves != capped[0]]
+    assert np.all(tree.body_count[others] <= 4)
