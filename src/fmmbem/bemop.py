@@ -27,7 +27,9 @@ chunked direct sums over all Gauss points.  Only the expansion part depends
 on p, so lowering the order mid-solve leaves all near-field arithmetic
 untouched.  The right-hand side goes through the FMM at the fixed order
 RHS_ORDER; the direct sums (``dense_apply``, ``assemble_rhs(dense=True)``)
-are the exact reference for both.
+are the reference for both: rounding-level for the Laplace kernels and the
+stokeslet, while the stresslet's channel form is about 5e-10 relative from a
+long-double pointwise sum.
 
 The mesh must be closed and outward oriented; the operator checks both
 before it builds anything.

@@ -6,11 +6,11 @@ The operator layer treats each (target, panel) pair in one of three regimes:
 * far: a coarse symmetric rule is enough (and is what the fast summation
   uses, treating Gauss points as independent point sources),
 * near: a fine rule controls the nearly-singular error,
-* singular: the target is the panel's own centroid; the kernel is integrated
-  in polar coordinates about it, radially exact for the 1/r singularity.
+* singular: the target is the panel's own centroid; on a flat triangle the
+  integrals of 1/r and of the stokeslet have closed forms, a sum of
+  asinh and 1/rho terms over the three edges.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,15 +69,6 @@ FAR_RULE = _make_far_rule()
 NEAR_RULE = _make_near_rule()
 
 
-# Gauss-Legendre nodes and weights of the angular rule on each
-# centroid-vertex sub-triangle of a singular panel integral
-SINGULAR_GAUSS = 32
-_ANGULAR_RULE = np.polynomial.legendre.leggauss(SINGULAR_GAUSS)
-# panels per block of the batched singular rules: a (block, 3, SINGULAR_GAUSS)
-# temporary stays under 0.5 MB, so set-up leaves no freed gap in the heap
-SINGULAR_CHUNK = 256
-
-
 def panel_geometry(vertices):
     """(centroid, unit normal, area) of triangles, shaped (P, 3), (P, 3), (P,).
 
@@ -108,87 +99,52 @@ def quadrature_points(vertices, rule):
     return pts, wts
 
 
-def _local_frame(vertices):
-    """Orthonormal frames (e1, e2, n) and in-plane vertex coords about the centroids.
+def _edges(vertices):
+    """Each triangle edge as seen from the centroid, in global coordinates.
 
-    vertices: (P, 3, 3).  Returns frames (P, 3, 3) with rows e1, e2, n and
-    uv (P, 3, 2).
+    vertices: (P, 3, 3).  Edge e runs from vertex e to vertex e + 1.  Returns
+    the unit tangent t and in-plane unit normal n, pointing from the centroid
+    towards the edge's line, each (P, 3, 3); the distance d to that line and
+    the ends s1 < s2 along t from the foot of the perpendicular, each (P, 3).
     """
     v = np.asarray(vertices, dtype=float)
-    centroid, normal, _ = panel_geometry(v)
-    e1 = v[:, 1] - v[:, 0]
-    e1 -= np.einsum("pi,pi->p", e1, normal)[:, None] * normal
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(normal, e1)
-    rel = v - centroid[:, None]
-    uv = np.stack([np.einsum("pki,pi->pk", rel, e1), np.einsum("pki,pi->pk", rel, e2)], axis=2)
-    return np.stack([e1, e2, normal], axis=1), uv
-
-
-def _polar_subtriangles(uv):
-    """Angular Gauss nodes, weights and radial extents around the origin.
-
-    uv: (P, 3, 2) in-plane vertices of triangles containing the origin.
-    Returns, per panel and centroid-vertex sub-triangle, the angles phi_k,
-    quadrature weights, and the distance R(phi_k) to the opposite edge, each
-    shaped (P, 3, SINGULAR_GAUSS).
-    """
-    x, w = _ANGULAR_RULE
-    a, b = uv, np.roll(uv, -1, axis=1)
-    ta = np.arctan2(a[..., 1], a[..., 0])
-    tb = np.arctan2(b[..., 1], b[..., 0])
-    tb = np.where(tb <= ta, tb + 2.0 * math.pi, tb)
-    half = (0.5 * (tb - ta))[..., None]
-    phi = half * x + (0.5 * (tb + ta))[..., None]
-    wphi = half * w
-    edge = b - a
-    n_e = np.stack([edge[..., 1], -edge[..., 0]], axis=-1)
-    n_e /= np.linalg.norm(n_e, axis=-1, keepdims=True)
-    d_e = np.einsum("psi,psi->ps", n_e, a)
-    n_e *= np.where(d_e < 0.0, -1.0, 1.0)[..., None]
-    cosfac = np.cos(phi) * n_e[..., 0, None] + np.sin(phi) * n_e[..., 1, None]
-    return phi, wphi, np.abs(d_e)[..., None] / cosfac
-
-
-def _over_blocks(block_fn, vertices):
-    """block_fn over (P, 3, 3) vertices, SINGULAR_CHUNK panels at a time."""
-    v = np.asarray(vertices, dtype=float)
-    return np.concatenate([block_fn(v[lo:lo + SINGULAR_CHUNK])
-                           for lo in range(0, len(v), SINGULAR_CHUNK)])
-
-
-def _laplace_block(v):
-    _, uv = _local_frame(v)
-    _, wphi, R = _polar_subtriangles(uv)
-    return np.einsum("psk,psk->p", wphi, R) / FOUR_PI
-
-
-def _stokeslet_block(v):
-    frame, uv = _local_frame(v)
-    phi, wphi, R = _polar_subtriangles(uv)
-    wr = wphi * R
-    u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    # flat panel: r has no normal component, so the n-n entry stays I * scalar
-    local = wr.sum(axis=(1, 2))[:, None, None] * np.eye(3)
-    local[:, :2, :2] += np.einsum("psk,pski,pskj->pij", wr, u, u)
-    return np.einsum("pai,pab,pbj->pij", frame, local, frame)
+    centroid, _, _ = panel_geometry(v)
+    a = v - centroid[:, None]
+    edge = np.roll(a, -1, axis=1) - a
+    length = np.linalg.norm(edge, axis=2)
+    t = edge / length[..., None]
+    s1 = np.einsum("pei,pei->pe", a, t)
+    foot = a - s1[..., None] * t
+    d = np.linalg.norm(foot, axis=2)
+    return t, foot / d[..., None], d, s1, s1 + length
 
 
 def integrate_singular_laplace(vertices):
     """Integral of 1/(4 pi r) over triangles, singularity at each centroid.
 
-    vertices: (P, 3, 3); returns (P,).  Radial integration is exact; the
-    angular factor R(phi) is integrated by Gauss-Legendre on three
-    centroid-vertex sub-triangles.
+    vertices: (P, 3, 3); returns (P,).  In closed form: each centroid-edge
+    sub-triangle contributes d (asinh(s2/d) - asinh(s1/d)).
     """
-    return _over_blocks(_laplace_block, vertices)
+    _, _, d, s1, s2 = _edges(vertices)
+    return np.sum(d * (np.arcsinh(s2 / d) - np.arcsinh(s1 / d)), axis=1) / FOUR_PI
 
 
 def integrate_singular_stokeslet(vertices):
-    """(3, 3) integral of the bare stokeslet over each triangle.
+    """(3, 3) integral of the bare stokeslet (I + u u^T)/r over each triangle.
 
-    vertices: (P, 3, 3); returns (P, 3, 3).  In the panel plane
-    G = (I + u u^T)/r with u the in-plane unit direction, so the radial
-    integral is R(phi) (I + u u^T); the result is rotated back to global axes.
+    vertices: (P, 3, 3); returns (P, 3, 3).  In closed form: along an edge,
+    u = cos(psi) n + sin(psi) t with tan(psi) = s/d, and each centroid-edge
+    sub-triangle contributes d L I + d S n n^T + d (L - S) t t^T
+    + d^2 Q (n t^T + t n^T), where L = asinh(s2/d) - asinh(s1/d),
+    S = s2/rho2 - s1/rho1, Q = 1/rho1 - 1/rho2 and rho = sqrt(d^2 + s^2).
     """
-    return _over_blocks(_stokeslet_block, vertices)
+    t, n, d, s1, s2 = _edges(vertices)
+    rho1, rho2 = np.hypot(d, s1), np.hypot(d, s2)
+    L = np.arcsinh(s2 / d) - np.arcsinh(s1 / d)
+    S = s2 / rho2 - s1 / rho1
+    Q = 1.0 / rho1 - 1.0 / rho2
+    nt = np.einsum("pe,pei,pej->pij", d * d * Q, n, t)
+    return (np.sum(d * L, axis=1)[:, None, None] * np.eye(3)
+            + np.einsum("pe,pei,pej->pij", d * S, n, n)
+            + np.einsum("pe,pei,pej->pij", d * (L - S), t, t)
+            + nt + nt.transpose(0, 2, 1))

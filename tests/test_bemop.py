@@ -86,6 +86,27 @@ def test_stokes_drag_sign_and_magnitude(sphere3):
     assert abs(drag[1]) < 0.05 * exact and abs(drag[2]) < 0.05 * exact
 
 
+def test_stokes_rotating_sphere_torque(sphere3):
+    """A sphere spun at Omega = e_z in still fluid feels torque 8 pi mu Omega.
+
+    The off-diagonal entries of the stokeslet self blocks carry this answer,
+    so it pins them where the uniform-stream drag cannot.  The error falls
+    with refinement, and the lateral torque stays at rounding level.
+    """
+    errors = []
+    for mesh in (sphere3, M.make_sphere(4)):
+        op = BemOperator(mesh, Formulation.STOKES)
+        b = op.assemble_rhs(np.cross([0.0, 0.0, 1.0], op.centroids))
+        res = solver.solve(op, b, eta=1e-6, p_initial=16, p_min=5)
+        assert res.converged
+        torque = np.einsum("p,pi->i", op.areas, np.cross(op.centroids, res.x.reshape(-1, 3)))
+        exact = 8.0 * np.pi * op.mu
+        errors.append(abs(torque[2] - exact) / exact)
+        assert np.abs(torque[:2]).max() < 1e-6 * abs(torque[2])
+    assert errors[1] < 0.01
+    assert errors[1] < errors[0] / 3.0
+
+
 def test_shapes_and_rhs_sizes(sphere3):
     lap = BemOperator(sphere3, Formulation.LAPLACE_FIRST)
     sto = BemOperator(sphere3, Formulation.STOKES)

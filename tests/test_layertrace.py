@@ -3,7 +3,8 @@
 perfbench/layertrace.py hooks fmmbem by name from outside the package, so a
 renamed method or attribute shows up in a traced run only as a "missing
 hooks" line or as a counter left at zero.  This runs the traced pipeline on
-a small Stokes solve and allows neither.
+a small Laplace first-kind solve and a small Stokes solve, so that both
+singular-integral hooks run, and allows neither.
 """
 
 import sys
@@ -17,18 +18,25 @@ sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layertrace  # noqa: E402
 
 
+def _traced_pipeline(tracer, mesh, formulation, data):
+    with tracer.phase_span("setup"):
+        op = fm.BemOperator(mesh, formulation)
+    with tracer.phase_span("rhs"):
+        b = op.assemble_rhs(data)
+    with tracer.phase_span("solve"):
+        fm.solve(op, b, eta=1e-5, p_initial=8, p_min=3)
+
+
 def test_traced_pipeline_finds_every_hook_and_counter():
     tracer = layertrace.Tracer()
     layertrace.install(tracer)
     try:
         mesh = fm.make_sphere(3)
-        with tracer.phase_span("setup"):
-            op = fm.BemOperator(mesh, "stokes")
-        with tracer.phase_span("rhs"):
-            b = op.assemble_rhs(np.tile([1.0, 0.0, 0.0], (mesh.n_panels, 1)))
-        with tracer.phase_span("solve"):
-            fm.solve(op, b, eta=1e-5, p_initial=8, p_min=3)
+        _traced_pipeline(tracer, mesh, "laplace_first", np.ones(mesh.n_panels))
+        laplace_singular = tracer.counts["quadrature.singular_panels"]
+        _traced_pipeline(tracer, mesh, "stokes", np.tile([1.0, 0.0, 0.0], (mesh.n_panels, 1)))
     finally:
         tracer.uninstall()
+    assert laplace_singular > 0
     assert tracer.missing == []
     assert [name for name in layertrace.COUNTS if not tracer.counts[name] > 0] == []

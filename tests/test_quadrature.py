@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 from scipy.spatial.transform import Rotation
 
 from fmmbem import quadrature as Q
@@ -107,3 +108,58 @@ def test_singular_integrals_batch_over_panels():
         single = np.array([integrate(pv[i:i + 1])[0] for i in range(len(pv))])
         assert batched.shape == single.shape == (len(pv),) + np.shape(single[0])
         np.testing.assert_allclose(batched, single, rtol=1e-14, atol=1e-14 * np.abs(single).max())
+
+
+# badly shaped panels, in the z = 0 plane: aspect ratio 10 and 100, a 160
+# degree obtuse apex, and a 1:20 right triangle
+SKINNY = {
+    "aspect10": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.1, 0.0]],
+    "aspect100": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.01, 0.0]],
+    "obtuse160": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.5 * np.tan(np.radians(10.0)), 0.0]],
+    "right1to20": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.05, 0.0]],
+}
+
+
+def _adaptive_reference(tri):
+    """Both self integrals by adaptive quadrature, to 1e-13 relative.
+
+    On each centroid-edge sub-triangle the map x = c + u (A - c) + u v (B - A)
+    has Jacobian u |(A - c) x (B - A)| and r = u |w(v)|, so the u integral is
+    exact and one adaptive integral over v in [0, 1] remains.  Returns the
+    integral of 1/(4 pi r) and the (3, 3) integral of (I + r r^T / r^2)/r.
+    """
+    c = tri.mean(axis=0)
+    lap, stk = 0.0, np.zeros((3, 3))
+    for i in range(3):
+        A, B = tri[i], tri[(i + 1) % 3]
+        jac = np.linalg.norm(np.cross(A - c, B - A))
+
+        def f(v):
+            w = (A - c) + v * (B - A)
+            wlen = np.linalg.norm(w)
+            return np.concatenate([[1.0 / FOUR_PI], (np.eye(3) + np.outer(w, w) / wlen**2).ravel()]) * jac / wlen
+
+        val, _ = quad_vec(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=2000)
+        lap += val[0]
+        stk += val[1:].reshape(3, 3)
+    return lap, stk
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("name", sorted(SKINNY))
+def test_singular_integrals_exact_on_skinny_panels(name, rotated):
+    """The closed forms meet an adaptive reference at 1e-12 on badly shaped panels."""
+    tri = np.array(SKINNY[name])
+    if rotated:
+        tri = Rotation.from_rotvec([0.4, -1.1, 0.7]).apply(tri) + [0.3, -2.0, 1.5]
+    lap, stk = _adaptive_reference(tri)
+    assert np.isclose(Q.integrate_singular_laplace(tri[None])[0], lap, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(Q.integrate_singular_stokeslet(tri[None])[0], stk,
+                               rtol=1e-12, atol=1e-12 * np.abs(stk).max())
+
+
+def test_singular_integrals_reject_degenerate_triangle():
+    collinear = np.array([[[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]])
+    for integrate in (Q.integrate_singular_laplace, Q.integrate_singular_stokeslet):
+        with pytest.raises(ValueError, match="degenerate triangle"):
+            integrate(collinear)
