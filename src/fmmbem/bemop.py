@@ -24,12 +24,15 @@ entries.
 Every layer potential is one :func:`fmmbem.kernels.kernel_sum` and takes its
 bare 1/r channel evaluator as one argument: the FMM at some order p, or
 chunked direct sums over all Gauss points.  Only the expansion part depends
-on p, so lowering the order mid-solve leaves all near-field arithmetic
-untouched.  The right-hand side goes through the FMM at the fixed order
-RHS_ORDER; the direct sums (``dense_apply``, ``assemble_rhs(dense=True)``)
-are the reference for both: rounding-level for the Laplace kernels and the
-stokeslet, while the stresslet's channel form is about 5e-10 relative from a
-long-double pointwise sum.
+on p; the near field's precision depends on the budget, the relative error
+the caller can afford in the product.  ``apply`` without one is float64
+throughout, and from SINGLE_BUDGET up its near field runs in float32, which
+the relaxed solve asks for once its residual has fallen.  The right-hand
+side goes through the FMM at the fixed order RHS_ORDER; the direct sums
+(``dense_apply``, ``assemble_rhs(dense=True)``) are the reference for both:
+rounding-level for the Laplace kernels and the stokeslet, while the
+stresslet's channel form is about 5e-10 relative from a long-double
+pointwise sum.
 
 The mesh must be closed and outward oriented; the operator checks both
 before it builds anything.
@@ -60,6 +63,11 @@ SYSTEM, RHS = 0, 1
 # at tol 1e-6 on an 8192-panel Laplace sphere, 1.6e-7 at tol 1e-5 on six
 # Stokes cells, seed 7)
 RHS_ORDER = 18
+# smallest budget at which apply runs the near field in float32.  The
+# largest float32 apply error measured, on a sphere, six spheres, a red cell
+# and two spheres 0.01 apart, is 3.1e-5 for Stokes and 6.4e-6 for Laplace:
+# more than 10x below it
+SINGLE_BUDGET = 1e-3
 # candidate pairs per block of the near-pair search: its temporaries stay in
 # cache, and larger blocks run slower
 NEAR_SEARCH_CHUNK = 32768
@@ -218,10 +226,11 @@ class BemOperator:
                                self.src_normal)
         return u.reshape(-1) + self._corrections.matvec(x, correction)
 
-    def _dense_potential(self, charges, dipoles, want_gradient):
+    def _dense_potential(self, charges, dipoles, want_gradient, moment=False):
         """Direct 1/r (and dipole) sums over all Gauss points, self pair zeroed.
 
-        Same arguments and return shapes as :meth:`FmmPlan.far_field`.
+        Same arguments and return shapes as :meth:`FmmPlan.far_field`; the
+        sums are float64, so moment changes nothing.
         """
         C = len(charges if charges is not None else dipoles)
         nt = len(self.centroids)
@@ -244,9 +253,15 @@ class BemOperator:
         data = np.asarray(data, dtype=float).reshape(-1)
         return c * data + self._layer_apply(kind, data, channel_sum, side) / d
 
-    def apply(self, x, p):
-        """System mat-vec A x with expansions truncated at order p."""
-        return self._side(SYSTEM, x, functools.partial(self.plan.channel_sum, p=p))
+    def apply(self, x, p, budget=None):
+        """System mat-vec A x with expansions truncated at order p.
+
+        budget is the relative error the caller can afford in this product,
+        None for none: from SINGLE_BUDGET up the near field runs in float32.
+        """
+        single = budget is not None and budget >= SINGLE_BUDGET
+        return self._side(SYSTEM, x,
+                          functools.partial(self.plan.channel_sum, p=p, single=single))
 
     def dense_apply(self, x):
         """Reference mat-vec with direct sums in place of expansions."""

@@ -22,7 +22,8 @@ the packed harmonics of one block of bodies (at most BLOCK_BYTES) and the
 field rows of one leaf, in each translation sweep the signed grid of its
 offsets, its maps widened to intp and the coefficients of one block of a
 group's cells (at most STACK_BYTES), and in P2P the at most two (Nt, Ns)
-work arrays of one :func:`fmmbem.kernels.laplace_sum`.
+work arrays of one :func:`fmmbem.kernels.laplace_sum`, float32 ones when the
+near field runs in single precision.
 """
 
 import functools
@@ -331,10 +332,12 @@ class FmmPlan:
         perm = self.tgt_tree.perm
         return ((perm[start:end], sources) for start, end, sources, _ in self._p2p)
 
-    def near_field(self, charges=None, dipoles=None, want_gradient=False):
+    def near_field(self, charges=None, dipoles=None, want_gradient=False, single=False,
+                   moment=False):
         """Direct 1/r (and dipole) sums over the P2P pairs.
 
-        Same arguments and return shapes as :meth:`far_field`.  Coincident
+        Same arguments and return shapes as :meth:`far_field`; single and
+        moment go to each :func:`fmmbem.kernels.laplace_sum`.  Coincident
         source/target pairs contribute zero (the BEM layer replaces self
         interactions with singular integrals).  Each target leaf writes its
         slice of the target tree's sorted order, and the sums are put back in
@@ -347,11 +350,16 @@ class FmmPlan:
         pot = np.zeros((C, nt))
         grad = np.zeros((C, nt, 3)) if want_gradient else None
         points = self.src_tree.points
+        if single:
+            # densities rounded once, not per leaf: on the Stokes apply this
+            # rounding, at the scale of the coordinates, costs about 3e-7
+            charges = None if charges is None else charges.astype(np.float32)
+            dipoles = None if dipoles is None else dipoles.astype(np.float32)
         for start, end, sidx, geo in self._p2p:
             v, g = laplace_sum(geo, np.take(points, sidx, axis=0),
                                None if charges is None else np.take(charges, sidx, axis=1),
                                None if dipoles is None else np.take(dipoles, sidx, axis=1),
-                               want_gradient)
+                               want_gradient, single, moment)
             pot[:, start:end] = v
             if want_gradient:
                 grad[:, start:end] = g
@@ -359,12 +367,14 @@ class FmmPlan:
         back[tgt.perm] = np.arange(nt)
         return pot[:, back], None if grad is None else grad[:, back]
 
-    def channel_sum(self, charges, dipoles, want_gradient, p):
-        """The whole 1/r sum at order p: :meth:`far_field` plus :meth:`near_field`."""
+    def channel_sum(self, charges, dipoles, want_gradient, p, single=False, moment=False):
+        """The whole 1/r sum at order p: :meth:`far_field` plus :meth:`near_field`,
+        which takes single and moment."""
         pot, grad = self.far_field(charges=charges, dipoles=dipoles, p=p,
                                    want_gradient=want_gradient)
         npot, ngrad = self.near_field(charges=charges, dipoles=dipoles,
-                                      want_gradient=want_gradient)
+                                      want_gradient=want_gradient, single=single,
+                                      moment=moment)
         pot += npot
         if grad is not None:
             grad += ngrad

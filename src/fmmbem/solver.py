@@ -11,6 +11,13 @@ with r_{k-1} the preceding relative residual and eta the solve tolerance,
 and takes the order p_k = ceil(-log2 eps_k), clamped to [p_min, p_initial]
 and kept non-increasing.  With p_min = p_initial the clamp leaves no room,
 so that is a fixed-order solve.
+
+The bound behind the rule covers any perturbation of the product, rounding
+included (Simoncini & Szyld, SISC 2003; Gratton, Simon, Titley-Peloquin &
+Toint, 2019).  So a relaxed solve hands each apply eps_k itself, from
+:func:`relaxation_budget`, and the operator spends it on the precision of
+its near field too (``bemop.SINGLE_BUDGET``); a fixed-order solve hands
+none.
 """
 
 import math
@@ -19,9 +26,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def relaxation_budget(residual, eta):
+    """The accuracy budget eps_k of the iteration after relative residual
+    ``residual``, at solve tolerance eta."""
+    return min(eta / min(max(residual, eta), 1.0), 1.0)
+
+
 def schedule_p(residual, eta, p_initial, p_min):
     """Expansion order for the next iteration under the relaxation rule."""
-    eps = min(eta / min(max(residual, eta), 1.0), 1.0)
+    eps = relaxation_budget(residual, eta)
     return int(min(p_initial, max(p_min, math.ceil(-math.log2(eps)))))
 
 
@@ -30,6 +43,7 @@ class SolveResult:
     x: np.ndarray
     residuals: list = field(default_factory=list)   # relative, one per iteration
     orders: list = field(default_factory=list)      # p used in each iteration
+    budgets: list = field(default_factory=list)     # eps_k handed to each apply
     converged: bool = False
 
     @property
@@ -51,12 +65,13 @@ def check_inputs(tol, p_initial, p_min, max_iter):
 def gmres(apply_fn, b, tol=1e-5, p_initial=12, p_min=1, max_iter=100):
     """Unrestarted GMRES on y = apply_fn(x, p) with a per-iteration order p.
 
-    apply_fn: callable (x, p) -> A x.  Iterates until the relative residual
-    estimate drops below tol or max_iter is reached; p follows
-    :func:`schedule_p` with eta = tol, from p_initial down to p_min
-    (p_min = p_initial is a fixed-order solve).  Modified Gram-Schmidt
-    Arnoldi with Givens rotations; no restarting, so max_iter basis vectors
-    are kept at most.  A non-finite b is rejected before the first mat-vec.
+    apply_fn: callable (x, p, budget) -> A x.  Iterates until the relative
+    residual estimate drops below tol or max_iter is reached; p follows
+    :func:`schedule_p` with eta = tol, from p_initial down to p_min, and
+    budget is the iteration's :func:`relaxation_budget`.  p_min = p_initial
+    is a fixed-order solve, whose every apply gets budget None.  Modified
+    Gram-Schmidt Arnoldi with Givens rotations; no restarting, so max_iter
+    basis vectors are kept at most.  A non-finite b is rejected before the first mat-vec.
     """
     check_inputs(tol, p_initial, p_min, max_iter)
     b = np.asarray(b, dtype=float)
@@ -76,10 +91,12 @@ def gmres(apply_fn, b, tol=1e-5, p_initial=12, p_min=1, max_iter=100):
     result = SolveResult(x=np.zeros(n))
     residual = 1.0
     p = p_initial
+    relaxed = p_min < p_initial
 
     for k in range(max_iter):
         p = min(p, schedule_p(residual, tol, p_initial, p_min))  # never spend more than before
-        w = apply_fn(basis[k], p)
+        budget = relaxation_budget(residual, tol) if relaxed else None
+        w = apply_fn(basis[k], p, budget=budget)
         if not np.all(np.isfinite(w)):
             raise FloatingPointError(
                 f"GMRES iteration {k + 1} (p={p}): the mat-vec returned non-finite values")
@@ -109,6 +126,7 @@ def gmres(apply_fn, b, tol=1e-5, p_initial=12, p_min=1, max_iter=100):
         residual = abs(g[k + 1]) / norm_b
         result.residuals.append(residual)
         result.orders.append(p)
+        result.budgets.append(budget)
         if residual < tol:
             result.converged = True
             break

@@ -5,7 +5,7 @@ quantities (observed order, extrapolated limit, speedup).  Reports write to
 a strict JSON file (an undefined value is null) and a CSV of the records.
 Every solve, that of ``fmmbem solve`` included, goes through
 :func:`solve_record`, whose record holds N, iterations, converged, time,
-residuals, orders and peak_rss_mb; a study adds its own keys to it.
+residuals, orders, budgets and peak_rss_mb; a study adds its own keys to it.
 Timings are wall-clock around the solve loop or the tree evaluation only;
 the relaxation and scaling studies average them over repeated identical
 runs, the convergence study times each solve once.  Each study checks its
@@ -145,14 +145,16 @@ def solve_record(op, b, **solve_options):
     """(result, record) of one timed :func:`solver.solve` of op x = b.
 
     The record holds N, iterations, converged, the wall time of the solve,
-    each iteration's residual and order, and the process's peak RSS after it.
+    each iteration's residual, order and budget (null in a fixed-order
+    solve; from bemop.SINGLE_BUDGET up its near field ran in float32), and
+    the process's peak RSS after it.
     """
     t0 = time.perf_counter()
     res = solver.solve(op, b, **solve_options)
     elapsed = time.perf_counter() - t0
     return res, dict(N=op.n_panels, iterations=res.n_iterations, converged=res.converged,
                      time=elapsed, residuals=res.residuals, orders=res.orders,
-                     peak_rss_mb=_peak_rss_mb())
+                     budgets=res.budgets, peak_rss_mb=_peak_rss_mb())
 
 
 def _check_problem(problem, problems):

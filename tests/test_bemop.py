@@ -255,6 +255,54 @@ def test_applies_below_rhs_order_hold_no_maps(sphere3, traced_peak):
             assert all(np.shares_memory(m, t) for m, t in zip(H.translation_maps(kind, p), table))
 
 
+def _two_spheres(level, gap):
+    sphere = M.make_sphere(level)
+    other = sphere.translated([2.0 + gap, 0.0, 0.0])
+    return M.Mesh(np.vstack([sphere.vertices, other.vertices]),
+                  np.vstack([sphere.triangles, other.triangles + len(sphere.vertices)]))
+
+
+_SINGLE_MESHES = {
+    "sphere4": lambda: M.make_sphere(4),
+    "scene6": lambda: M.make_scene(6, 3, seed=7),
+    "rbc3": lambda: M.make_rbc(3),
+    "two_spheres_gap0.01": lambda: _two_spheres(3, 0.01),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_SINGLE_MESHES))
+def single_mesh(request):
+    return _SINGLE_MESHES[request.param]()
+
+
+@pytest.mark.parametrize("formulation", list(Formulation))
+def test_single_near_field_within_tenth_of_its_budget(single_mesh, formulation):
+    """The premise of SINGLE_BUDGET: a float32 near field moves the apply by
+    at most a tenth of the smallest budget that switches it on.  This x
+    reads at most 2.6e-5 for Stokes and 4.9e-6 for Laplace; other seeds
+    read up to 3.1e-5 and 6.4e-6."""
+    op = BemOperator(single_mesh, formulation)
+    x = np.random.default_rng(12).standard_normal(op.shape[0])
+    exact = op.apply(x, 4)
+    single = op.apply(x, 4, budget=1.0)
+    assert not np.array_equal(single, exact)
+    err = np.linalg.norm(single - exact) / np.linalg.norm(exact)
+    assert err <= bemop.SINGLE_BUDGET / 10, err
+
+
+@pytest.mark.parametrize("formulation", [Formulation.LAPLACE_FIRST, Formulation.STOKES])
+def test_apply_below_single_budget_is_bitwise_double(sphere3, formulation):
+    """No budget, budget None and a budget just below SINGLE_BUDGET are the
+    same float64 apply, bit for bit; SINGLE_BUDGET itself switches."""
+    op = BemOperator(sphere3, formulation)
+    x = np.random.default_rng(13).standard_normal(op.shape[0])
+    bare = op.apply(x, 6)
+    below = np.nextafter(bemop.SINGLE_BUDGET, 0.0)
+    for budget in (None, below, 0.0):
+        assert np.array_equal(op.apply(x, 6, budget=budget), bare)
+    assert not np.array_equal(op.apply(x, 6, budget=bemop.SINGLE_BUDGET), bare)
+
+
 @pytest.mark.parametrize("block", [1, 3])
 def test_block_csr_uneven_and_empty_rows(block):
     """Rows of every length, empty rows first or last, against scipy's CSR,

@@ -40,6 +40,9 @@ def test_solve_command(tmp_path):
     assert rec["converged"]
     assert len(rec["residuals"]) == len(rec["orders"]) == rec["iterations"]
     assert all(a >= b for a, b in zip(rec["orders"], rec["orders"][1:]))
+    # one budget per apply; the last ones reach the float32 near field's
+    assert len(rec["budgets"]) == rec["iterations"]
+    assert rec["budgets"] == sorted(rec["budgets"]) and rec["budgets"][-1] >= 1e-3
     assert rec["peak_rss_mb"] > 0.0
 
 

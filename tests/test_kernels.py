@@ -117,19 +117,20 @@ def test_laplace_sum_matches_direct_sum(kind):
 ])
 def test_stokes_kernels_take_four_channels_in_one_call(kind, charges, dipoles):
     """The stokeslet is four charge channels and the stresslet four dipole
-    channels, of 2 S e_c and 2 S y, each with gradients, in one call."""
+    channels, of 2 S e_c and 2 S y, each with gradients, in one call that
+    marks the last channel as the first moment of the others."""
     src, tgt = RNG.uniform(-1, 1, size=(9, 3)), RNG.uniform(2, 3, size=(5, 3))
     normals = RNG.normal(size=(9, 3))
     geo = K.pair_geometry(tgt, src)
     calls = []
 
-    def spy(q, d, want_gradient):
+    def spy(q, d, want_gradient, moment=False):
         calls.append((None if q is None else q.shape, None if d is None else d.shape,
-                      want_gradient))
+                      want_gradient, moment))
         return K.laplace_sum(geo, src, q, d, want_gradient)
 
     K.kernel_sum(kind, spy, src, RNG.uniform(-1, 1, size=(9, 3)), tgt, normals)
-    assert calls == [(charges, dipoles, True)]
+    assert calls == [(charges, dipoles, True, True)]
 
 
 @pytest.mark.parametrize("kind", [K.KernelKind.STOKESLET, K.KernelKind.STRESSLET])
@@ -188,6 +189,76 @@ def test_laplace_sum_holds_two_pair_arrays(traced_peak):
     geo = K.pair_geometry(tgt, src)
     peak = traced_peak(lambda: K.laplace_sum(geo, src, dipoles=dip, want_gradient=True))
     assert peak < 2.5 * nt * ns * 8, peak / (nt * ns * 8)
+
+
+def test_laplace_sum_single_holds_two_float32_pair_arrays(traced_peak):
+    """The same deepest path in single precision holds at most two float32
+    (Nt, Ns) arrays: no float64 copy of a pair array appears."""
+    nt, ns = 400, 2000
+    src = RNG.uniform(-1, 1, size=(ns, 3))
+    tgt = RNG.uniform(2, 3, size=(nt, 3))
+    dip = RNG.uniform(-1, 1, size=(1, ns, 3))
+    geo = K.pair_geometry(tgt, src)
+    peak = traced_peak(lambda: K.laplace_sum(geo, src, dipoles=dip, want_gradient=True,
+                                             single=True))
+    assert peak < 2.5 * nt * ns * 4, peak / (nt * ns * 4)
+
+
+@pytest.mark.parametrize("want_gradient", [False, True])
+def test_laplace_sum_single_keeps_coincident_pairs_zero(want_gradient):
+    """In single precision a coincident pair still contributes exactly zero,
+    and the sums come back in float64 within float32 rounding of the double
+    precision ones."""
+    x = np.array([[0.3, -1.2, 2.5]])
+    q, dip = np.array([[2.0]]), np.array([[[0.5, -1.0, 0.25]]])
+    for charges, dipoles in [(q, None), (None, dip), (q, dip)]:
+        pot, grad = K.laplace_sum(K.pair_geometry(x, x), x, charges, dipoles,
+                                  want_gradient, single=True)
+        assert pot.dtype == np.float64 and np.all(pot == 0.0)
+        if want_gradient:
+            assert grad.dtype == np.float64 and np.all(grad == 0.0)
+    src = np.vstack([RNG.uniform(-1, 1, size=(50, 3)), x])
+    geo = K.pair_geometry(x, src)
+    qs, ds = RNG.uniform(-1, 1, size=(2, 51)), RNG.uniform(-1, 1, size=(2, 51, 3))
+    pot, grad = K.laplace_sum(geo, src, qs, ds, want_gradient, single=True)
+    ref, ref_grad = K.laplace_sum(geo, src, qs, ds, want_gradient)
+    assert pot.dtype == np.float64
+    assert np.abs(pot - ref).max() <= 1e-5 * np.abs(ref).max()
+    if want_gradient:
+        assert grad.dtype == np.float64
+        assert np.abs(grad - ref_grad).max() <= 1e-5 * np.abs(ref_grad).max()
+
+
+@pytest.mark.parametrize("kind", [K.KernelKind.STOKESLET, K.KernelKind.STRESSLET])
+def test_single_stokes_channels_cancel_at_the_block_scale(kind):
+    """The first-moment channel is summed about the block's own origin in
+    single precision: a block far from the coordinate origin keeps the
+    float32 error of one at the origin, where without moment it grows with
+    the distance.  (Targets stay 0.5 from the sources: the stresslet's
+    dipole gradients lose (extent / r)^2 of float32 at close range, which is
+    why only the operator's right-hand side, never single, applies it.)"""
+    src = RNG.uniform(-0.5, 0.5, size=(400, 3))
+    tgt = RNG.uniform(-0.5, 0.5, size=(60, 3)) + [1.5, 0.0, 0.0]
+    normals = RNG.normal(size=(400, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    w = RNG.uniform(-1, 1, size=(400, 3))
+
+    def error(shift, centred=True):
+        s, t = src + shift, tgt + shift
+        geo = K.pair_geometry(t, s)
+        ref = K.kernel_sum(kind, functools.partial(K.laplace_sum, geo, s), s, w, t, normals)
+
+        def single(q, d, want_gradient, moment=False):
+            return K.laplace_sum(geo, s, q, d, want_gradient, single=True,
+                                 moment=moment and centred)
+
+        val = K.kernel_sum(kind, single, s, w, t, normals)
+        return np.linalg.norm(val - ref) / np.linalg.norm(ref)
+
+    far_away = np.array([20.0, -30.0, 10.0])
+    near, far = error(0.0), error(far_away)
+    assert near < 1e-5 and far < 3.0 * near
+    assert error(far_away, centred=False) > 10.0 * far
 
 
 @pytest.mark.parametrize("kinds", [

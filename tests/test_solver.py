@@ -11,7 +11,7 @@ from fmmbem.bemop import BemOperator, Formulation
 
 
 def _dense_apply(A):
-    return lambda x, p: A @ x
+    return lambda x, p, budget=None: A @ x
 
 
 def test_gmres_solves_dense_system():
@@ -87,7 +87,7 @@ def test_schedule_p_monotone_in_residual():
 def _recording_apply(A):
     calls = []
 
-    def apply_fn(x, p):
+    def apply_fn(x, p, budget=None):
         calls.append(p)
         return A @ x
     return apply_fn, calls
@@ -116,10 +116,46 @@ def test_fixed_schedule_keeps_order():
     assert res.converged and calls == res.orders == [9] * res.n_iterations
 
 
+def _budget_recording_apply(A):
+    budgets = []
+
+    def apply_fn(x, p, budget=None):
+        budgets.append(budget)
+        return A @ x
+    return apply_fn, budgets
+
+
+def test_fixed_order_solve_hands_no_budget():
+    """A fixed-order solve asks every apply for full accuracy: budget None."""
+    rng = np.random.default_rng(8)
+    A = np.eye(30) + 0.2 * rng.normal(size=(30, 30))
+    apply_fn, budgets = _budget_recording_apply(A)
+    res = solver.gmres(apply_fn, rng.normal(size=30), tol=1e-8, p_initial=9, p_min=9,
+                       max_iter=30)
+    assert res.converged and res.n_iterations > 1
+    assert budgets == res.budgets == [None] * res.n_iterations
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-3])
+def test_relaxed_solve_hands_each_apply_its_budget(tol):
+    """Iteration k's apply gets tol / min(max(r, tol), 1), r the residual
+    before it (1 before the first), and the result records the same list."""
+    rng = np.random.default_rng(9)
+    n = 40
+    A = np.eye(n) + 0.2 * rng.normal(size=(n, n))
+    apply_fn, budgets = _budget_recording_apply(A)
+    res = solver.gmres(apply_fn, rng.normal(size=n), tol=tol, p_initial=12, p_min=1,
+                       max_iter=n)
+    assert res.converged and res.n_iterations > 2
+    before = [1.0] + res.residuals[:-1]
+    assert budgets == res.budgets == [tol / min(max(r, tol), 1.0) for r in before]
+    assert budgets == sorted(budgets) and budgets[0] == tol
+
+
 class _CountingOperator:
     calls = 0
 
-    def apply(self, x, p):
+    def apply(self, x, p, budget=None):
         self.calls += 1
         return x
 
@@ -195,7 +231,8 @@ def test_schedule_rejects_bad_eta(eta):
 def test_gmres_raises_on_breakdown():
     """A mat-vec that maps b to zero leaves the Hessenberg column empty."""
     with pytest.raises(ZeroDivisionError, match=r"iteration 1 \(p=7\)"):
-        solver.gmres(lambda x, p: np.zeros_like(x), np.ones(4), p_initial=7, p_min=7)
+        solver.gmres(lambda x, p, budget=None: np.zeros_like(x), np.ones(4), p_initial=7,
+                     p_min=7)
 
 
 def test_gmres_raises_on_nonfinite_matvec():
@@ -203,7 +240,7 @@ def test_gmres_raises_on_nonfinite_matvec():
     A = np.eye(6) + 0.3 * rng.normal(size=(6, 6))
     calls = []
 
-    def apply_fn(x, p):
+    def apply_fn(x, p, budget=None):
         calls.append(p)
         y = A @ x
         if len(calls) == 2:

@@ -114,7 +114,8 @@ def test_run_scaling_trivial_and_small():
 
 
 # the keys of study.solve_record, which every solving study's record extends
-_SOLVE_KEYS = {"N", "iterations", "converged", "time", "residuals", "orders", "peak_rss_mb"}
+_SOLVE_KEYS = {"N", "iterations", "converged", "time", "residuals", "orders", "budgets",
+               "peak_rss_mb"}
 
 
 def test_run_convergence_small():
@@ -171,3 +172,7 @@ def test_run_relaxation_comparison_small():
     extra = {"n_crit", "relaxed", "time_min", "time_max"}
     assert all(set(r) == _SOLVE_KEYS | extra for r in rep.records)
     assert all(r["time_min"] <= r["time"] <= r["time_max"] for r in rep.records)
+    # the fixed-order solve hands no budget, the relaxed one one per apply
+    for r in rep.records:
+        assert len(r["budgets"]) == r["iterations"]
+        assert (r["budgets"] == [None] * r["iterations"]) == (not r["relaxed"])
